@@ -13,36 +13,20 @@ BinnedSeries::BinnedSeries(double t0, double bin_width, std::size_t bins)
   require(bins >= 1, "BinnedSeries: need at least one bin");
 }
 
-void BinnedSeries::add_point(double t, double amount) {
+std::size_t BinnedSeries::bin_of(double t) const noexcept {
   const double rel = (t - t0_) / width_;
-  if (rel < 0) return;
-  const auto idx = static_cast<std::size_t>(rel);
-  if (idx >= values_.size()) return;
-  values_[idx] += amount;
+  if (rel < 0) return values_.size();
+  return std::min(static_cast<std::size_t>(rel), values_.size());
+}
+
+void BinnedSeries::add_point(double t, double amount) {
+  const std::size_t idx = bin_of(t);
+  if (idx < values_.size()) values_[idx] += amount;
 }
 
 void BinnedSeries::add_interval(double start, double end, double amount) {
   require(end >= start, "add_interval: end must be >= start");
-  if (amount == 0.0) return;
-  if (end == start) {
-    add_point(start, amount);
-    return;
-  }
-  const double domain_end = t0_ + width_ * static_cast<double>(values_.size());
-  const double clip_start = std::max(start, t0_);
-  const double clip_end = std::min(end, domain_end);
-  if (clip_start >= clip_end) return;
-  const double density = amount / (end - start);
-
-  auto first = static_cast<std::size_t>((clip_start - t0_) / width_);
-  first = std::min(first, values_.size() - 1);
-  for (std::size_t i = first; i < values_.size(); ++i) {
-    const double bin_lo = t0_ + static_cast<double>(i) * width_;
-    const double bin_hi = bin_lo + width_;
-    if (bin_lo >= clip_end) break;
-    const double overlap = std::min(bin_hi, clip_end) - std::max(bin_lo, clip_start);
-    if (overlap > 0) values_[i] += density * overlap;
-  }
+  for_each_share(start, end, amount, [this](std::size_t i, double share) { values_[i] += share; });
 }
 
 double BinnedSeries::bin_time(std::size_t i) const {

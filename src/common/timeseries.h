@@ -6,6 +6,7 @@
 // contribution that spans multiple bins.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -24,6 +25,17 @@ class BinnedSeries {
 
   /// Adds `amount` at instant `t` (dropped if outside the domain).
   void add_point(double t, double amount);
+
+  /// The split behind `add_interval`: calls `fn(bin, share)` once for every
+  /// bin that receives a share of `amount` spread over [start, end) (requires
+  /// end >= start).  Series of one geometry split an interval identically,
+  /// so a caller depositing the same interval into many such series splits
+  /// it once and adds each share with `add_to_bin`.
+  template <class Fn>
+  void for_each_share(double start, double end, double amount, Fn&& fn) const;
+
+  /// Adds `amount` to bin `i` (unchecked; `i` comes from `for_each_share`).
+  void add_to_bin(std::size_t i, double amount) noexcept { values_[i] += amount; }
 
   [[nodiscard]] std::size_t bin_count() const noexcept { return values_.size(); }
   [[nodiscard]] double bin_width() const noexcept { return width_; }
@@ -46,10 +58,39 @@ class BinnedSeries {
   void add_series(const BinnedSeries& other);
 
  private:
+  /// Index of the bin containing instant `t`, or bin_count() if outside.
+  [[nodiscard]] std::size_t bin_of(double t) const noexcept;
+
   double t0_;
   double width_;
   std::vector<double> values_;
 };
+
+template <class Fn>
+void BinnedSeries::for_each_share(double start, double end, double amount, Fn&& fn) const {
+  if (amount == 0.0) return;
+  if (end == start) {
+    // A zero-length interval deposits the full amount into the containing bin.
+    const std::size_t idx = bin_of(start);
+    if (idx < values_.size()) fn(idx, amount);
+    return;
+  }
+  const double domain_end = t0_ + width_ * static_cast<double>(values_.size());
+  const double clip_start = std::max(start, t0_);
+  const double clip_end = std::min(end, domain_end);
+  if (clip_start >= clip_end) return;
+  const double density = amount / (end - start);
+
+  auto first = static_cast<std::size_t>((clip_start - t0_) / width_);
+  first = std::min(first, values_.size() - 1);
+  for (std::size_t i = first; i < values_.size(); ++i) {
+    const double bin_lo = t0_ + static_cast<double>(i) * width_;
+    const double bin_hi = bin_lo + width_;
+    if (bin_lo >= clip_end) break;
+    const double overlap = std::min(bin_hi, clip_end) - std::max(bin_lo, clip_start);
+    if (overlap > 0) fn(i, density * overlap);
+  }
+}
 
 /// A maximal run of consecutive bins whose value meets a threshold.
 struct ThresholdEpisode {

@@ -50,6 +50,56 @@ FlowSim::FlowSim(const Topology& topo, FlowSimConfig config)
   csr_offset_.resize(n_links + 1, 0);
 }
 
+void FlowSim::CompletionHeap::place(std::size_t i, const Entry& e) {
+  heap_[i] = e;
+  pos_[static_cast<std::size_t>(e.flow_id)] = static_cast<std::int32_t>(i);
+}
+
+// Moves the entry at `i` up or down until the heap order holds again.
+void FlowSim::CompletionHeap::sift(std::size_t i) {
+  const Entry e = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!earlier(e, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  const std::size_t n = heap_.size();
+  for (std::size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+    if (!earlier(heap_[child], e)) break;
+    place(i, heap_[child]);
+    i = child;
+  }
+  place(i, e);
+}
+
+void FlowSim::CompletionHeap::arm(std::int32_t flow_id, TimeSec time, std::uint64_t seq) {
+  const auto id = static_cast<std::size_t>(flow_id);
+  if (id >= pos_.size()) pos_.resize(id + 1, -1);
+  std::size_t i = heap_.size();
+  if (pos_[id] < 0) {
+    heap_.emplace_back();
+  } else {
+    i = static_cast<std::size_t>(pos_[id]);
+  }
+  heap_[i] = Entry{time, seq, flow_id};
+  sift(i);
+}
+
+void FlowSim::CompletionHeap::disarm(std::int32_t flow_id) {
+  const auto id = static_cast<std::size_t>(flow_id);
+  if (id >= pos_.size() || pos_[id] < 0) return;
+  const auto i = static_cast<std::size_t>(pos_[id]);
+  pos_[id] = -1;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i < heap_.size()) {
+    heap_[i] = last;
+    sift(i);
+  }
+}
+
 void FlowSim::push_event(Event e) {
   e.seq = seq_++;
   events_.push(e);
@@ -208,10 +258,13 @@ void FlowSim::deposit(ActiveFlow& f, TimeSec up_to) {
   if (dt <= 0) return;
   const double moved = std::min(f.remaining, f.rate * dt);
   if (moved > 0) {
-    for (LinkId l : f.path) {
-      link_series_[static_cast<std::size_t>(l.value())].add_interval(f.last_deposit, up_to,
-                                                                     moved);
-    }
+    // Every link series has the same geometry: split once, add per link.
+    link_series_.front().for_each_share(
+        f.last_deposit, up_to, moved, [&](std::size_t bin, double share) {
+          for (LinkId l : f.path) {
+            link_series_[static_cast<std::size_t>(l.value())].add_to_bin(bin, share);
+          }
+        });
     f.remaining -= moved;
   }
   f.last_deposit = up_to;
@@ -279,13 +332,15 @@ void FlowSim::recompute_rates() {
   // level.  Freezing every min-share link in one pass is exact (removing a
   // frozen flow from another min-share link keeps that link's share at the
   // water level) and collapses the homogeneous-capacity case into few
-  // iterations.
+  // iterations.  Each pass ends by dropping the links it left without an
+  // unfrozen flow; every pass would skip them anyway.
   flow_frozen_.assign(n, 0);
   std::size_t unfrozen = n;
   std::size_t guard = 0;
+  const std::size_t max_passes = used_links_.size() + 2;
   const double cap = config_.per_flow_rate_cap;
   while (unfrozen > 0) {
-    ensure(++guard <= used_links_.size() + 2, "progressive filling failed to converge");
+    ensure(++guard <= max_passes, "progressive filling failed to converge");
     double min_share = std::numeric_limits<double>::infinity();
     for (std::int32_t l : used_links_) {
       const auto li = static_cast<std::size_t>(l);
@@ -329,22 +384,22 @@ void FlowSim::recompute_rates() {
         --unfrozen;
       }
     }
+    std::erase_if(used_links_, [this](std::int32_t l) {
+      return link_nflows_[static_cast<std::size_t>(l)] <= 0;
+    });
   }
 
-  // Phase 4: bump generations, schedule completion & stall events.
+  // Phase 4: bump generations, move each flow's completion to its new
+  // finish time (or disarm it), schedule stall events.
   for (std::size_t i = 0; i < n; ++i) {
     auto& f = active_[i];
     ++f.generation;
-    if (f.rate > 0) {
-      const TimeSec done = now_ + f.remaining / f.rate;
-      if (done <= config_.end_time) {
-        Event e{};
-        e.time = done;
-        e.kind = EventKind::kCompletion;
-        e.flow_id = f.id.value();
-        e.generation = f.generation;
-        push_event(e);
-      }
+    const TimeSec done = f.rate > 0 ? now_ + f.remaining / f.rate
+                                    : std::numeric_limits<TimeSec>::infinity();
+    if (done <= config_.end_time) {
+      completions_.arm(f.id.value(), done, seq_++);
+    } else {
+      completions_.disarm(f.id.value());
     }
     if (f.rate < config_.fail_rate_floor) {
       if (f.stall_since < 0) {
@@ -392,6 +447,7 @@ void FlowSim::finalize_flow(std::size_t slot, bool failed, bool truncated) {
   }
   DCT_OBS_ADD(m_bytes_delivered_, rec.bytes_sent);
   for (LinkId l : f.path) --link_active_[static_cast<std::size_t>(l.value())];
+  completions_.disarm(f.id.value());
   CompletionCallback cb = std::move(f.on_complete);
 
   // Swap-remove and fix the moved flow's slot index.
@@ -416,50 +472,62 @@ void FlowSim::run() {
   if (ran_) return;
   running_ = true;
 
-  while (!events_.empty()) {
-    Event e = events_.top();
-    if (e.time > config_.end_time) break;
-    events_.pop();
-    ensure(e.time >= now_ - 1e-9, "event queue went backwards");
-    now_ = std::max(now_, e.time);
+  for (;;) {
+    const bool completion_next =
+        !completions_.empty() &&
+        (events_.empty() || earlier(completions_.top(), events_.top()));
+    if (!completion_next && events_.empty()) break;
+    const TimeSec t = completion_next ? completions_.top().time : events_.top().time;
+    if (t > config_.end_time) break;
+    ensure(t >= now_ - 1e-9, "event queue went backwards");
+    now_ = std::max(now_, t);
     DCT_OBS_INC(m_events_);
 
+    if (completion_next) {
+      DCT_OBS_INC(m_events_completion_);
+      const std::ptrdiff_t slot = slot_of(completions_.top().flow_id);
+      ensure(slot >= 0, "completion armed for an inactive flow");
+      completions_.pop();
+      ActiveFlow& f = active_[static_cast<std::size_t>(slot)];
+      deposit(f, now_);
+      f.remaining = 0;  // absorb float residue: this event is the finish
+      finalize_flow(static_cast<std::size_t>(slot), /*failed=*/false,
+                    /*truncated=*/false);
+      continue;
+    }
+
+    const Event e = events_.top();
+    events_.pop();
     switch (e.kind) {
       case EventKind::kUser: {
+        DCT_OBS_INC(m_events_user_);
         UserCallback cb = std::move(user_callbacks_[e.user_index]);
         if (cb) cb(*this);
         break;
       }
       case EventKind::kRecompute: {
+        DCT_OBS_INC(m_events_recompute_);
         recompute_scheduled_ = false;
         if (dirty_) recompute_rates();
         break;
       }
-      case EventKind::kCompletion: {
-        const std::ptrdiff_t slot = slot_of(e.flow_id);
-        if (slot < 0) break;  // already gone
-        ActiveFlow& f = active_[static_cast<std::size_t>(slot)];
-        if (f.generation != e.generation) break;  // stale rate epoch
-        deposit(f, now_);
-        f.remaining = 0;  // absorb float residue: this event is the finish
-        finalize_flow(static_cast<std::size_t>(slot), /*failed=*/false,
-                      /*truncated=*/false);
-        break;
-      }
       case EventKind::kStall: {
         const std::ptrdiff_t slot = slot_of(e.flow_id);
-        if (slot < 0) break;
-        ActiveFlow& f = active_[static_cast<std::size_t>(slot)];
-        if (f.rate >= config_.fail_rate_floor || f.stall_since < 0) break;
-        if (now_ - f.stall_since >= config_.fail_timeout - 1e-9) {
+        ActiveFlow* f = slot < 0 ? nullptr : &active_[static_cast<std::size_t>(slot)];
+        if (f == nullptr || f->rate >= config_.fail_rate_floor || f->stall_since < 0) {
+          DCT_OBS_INC(m_events_stall_stale_);  // flow gone or recovered
+          break;
+        }
+        DCT_OBS_INC(m_events_stall_);
+        if (now_ - f->stall_since >= config_.fail_timeout - 1e-9) {
           finalize_flow(static_cast<std::size_t>(slot), /*failed=*/true,
                         /*truncated=*/false);
         } else {
           // The stall restarted since this event was queued; re-arm.
           Event re{};
-          re.time = f.stall_since + config_.fail_timeout;
+          re.time = f->stall_since + config_.fail_timeout;
           re.kind = EventKind::kStall;
-          re.flow_id = f.id.value();
+          re.flow_id = f->id.value();
           push_event(re);
         }
         break;
@@ -493,9 +561,10 @@ FlowSim::NetworkChangeStats FlowSim::handle_network_change() {
       for (LinkId l : f.path) --link_active_[static_cast<std::size_t>(l.value())];
       f.path = fresh;
       for (LinkId l : f.path) ++link_active_[static_cast<std::size_t>(l.value())];
-      // Invalidate completion events queued at the old rate; the next
-      // recompute reassigns a rate on the new path and re-arms them.
+      // The completion armed at the old rate is void; the next recompute
+      // assigns a rate on the new path and re-arms it.
       ++f.generation;
+      completions_.disarm(f.id.value());
       ++fault_rerouted_;
       ++stats.flows_rerouted;
       DCT_OBS_INC(m_fault_reroutes_);
@@ -527,6 +596,11 @@ void FlowSim::bind_metrics(obs::Registry& registry) {
   m_bytes_delivered_ = registry.counter("flowsim", "bytes_delivered", "bytes");
   m_recomputes_ = registry.counter("flowsim", "recomputes", "passes");
   m_events_ = registry.counter("flowsim", "events_processed", "events");
+  m_events_user_ = registry.counter("flowsim", "events_user", "events");
+  m_events_completion_ = registry.counter("flowsim", "events_completion", "events");
+  m_events_stall_ = registry.counter("flowsim", "events_stall", "events");
+  m_events_stall_stale_ = registry.counter("flowsim", "events_stall_stale", "events");
+  m_events_recompute_ = registry.counter("flowsim", "events_recompute", "events");
   m_active_flows_ = registry.gauge("flowsim", "active_flows", "flows");
   m_recompute_ns_ =
       registry.histogram("flowsim", "recompute_wall_ns", "ns", 100.0, 2.0, 24);

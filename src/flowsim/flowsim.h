@@ -8,16 +8,24 @@
 // arrival/departure events, and each flow's remaining bytes drain linearly.
 //
 // Engine design
-//   * A time-ordered event queue carries user callbacks (the workload layer
-//     schedules job arrivals and reacts to flow completions) plus internal
-//     completion / stall events.
+//   * Two time-ordered queues share one `(time, seq)` order, `seq` being a
+//     single FIFO counter that breaks ties deterministically.  The event heap
+//     carries user callbacks (the workload layer schedules job arrivals and
+//     reacts to flow completions) plus internal stall and recompute events.
+//     The completion heap holds at most one entry per active flow — its
+//     current finish time — indexed by flow id, so a rate change moves that
+//     entry in place and the loop only ever pops completions that happen.
+//     The loop pops whichever queue's head is earlier.
 //   * Rate recomputation (progressive filling) is *batched*: the active set
 //     may change many times within `recompute_interval`; rates are refreshed
 //     at most once per interval.  Exact mode (interval 0) recomputes after
-//     every change and is used by the unit tests.
+//     every change and is used by the unit tests.  Each freeze pass of the
+//     filling drops the links left with no unfrozen flow from its working
+//     list, so later passes scan only live links.
 //   * Per-link utilization is accounted exactly for the piecewise-constant
 //     rate process: whenever a flow's rate changes, its contribution since
-//     the previous change is deposited into each on-path link's time series.
+//     the previous change is split into per-bin shares once and each share
+//     is added to every on-path link's time series (they share one geometry).
 //   * A flow whose allocated rate stays below `fail_rate_floor` for
 //     `fail_timeout` seconds is killed and recorded as failed — the
 //     mechanism by which congestion causes the read failures of §4.2.
@@ -279,24 +287,51 @@ class FlowSim {
     TimeSec start = 0;
     TimeSec last_deposit = 0;        // utilization accounted up to here
     TimeSec stall_since = -1;        // -1: not stalled
-    std::uint32_t generation = 0;    // invalidates queued completion events
+    std::uint32_t generation = 0;    // rate epochs (checkpoint state)
     CompletionCallback on_complete;
   };
 
-  enum class EventKind : std::uint8_t { kUser, kCompletion, kStall, kRecompute };
+  enum class EventKind : std::uint8_t { kUser, kStall, kRecompute };
+
+  /// The `(time, seq)` order both queues share; `seq` is unique per entry.
+  template <class A, class B>
+  static bool earlier(const A& a, const B& b) noexcept {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  }
 
   struct Event {
     TimeSec time;
     std::uint64_t seq;  // FIFO tie-break for determinism
     EventKind kind;
-    std::int32_t flow_id = -1;        // kCompletion / kStall
-    std::uint32_t generation = 0;     // kCompletion staleness check
+    std::int32_t flow_id = -1;        // kStall
     std::uint32_t user_index = 0;     // kUser -> user_callbacks_
 
-    friend bool operator>(const Event& a, const Event& b) {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
+    bool operator>(const Event& other) const noexcept { return earlier(other, *this); }
+  };
+
+  /// Binary min-heap of per-flow completion times keyed by `(time, seq)`,
+  /// with a flow id -> heap position index for in-place updates.
+  class CompletionHeap {
+   public:
+    struct Entry {
+      TimeSec time;
+      std::uint64_t seq;
+      std::int32_t flow_id;
+    };
+    [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+    [[nodiscard]] const Entry& top() const noexcept { return heap_.front(); }
+    /// Sets `flow_id`'s completion to `(time, seq)`, inserting or moving it.
+    void arm(std::int32_t flow_id, TimeSec time, std::uint64_t seq);
+    /// Removes `flow_id`'s completion, if armed.
+    void disarm(std::int32_t flow_id);
+    void pop() { disarm(heap_.front().flow_id); }
+
+   private:
+    void place(std::size_t i, const Entry& e);
+    void sift(std::size_t i);
+
+    std::vector<Entry> heap_;
+    std::vector<std::int32_t> pos_;  // flow id -> heap index, -1 = disarmed
   };
 
   void push_event(Event e);
@@ -318,6 +353,7 @@ class FlowSim {
   TimeSec last_recompute_ = -std::numeric_limits<TimeSec>::infinity();
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
+  CompletionHeap completions_;
   std::vector<UserCallback> user_callbacks_;
   std::vector<ActiveFlow> active_;  // dense, swap-remove
   std::vector<FlowRecord> records_;
@@ -358,6 +394,11 @@ class FlowSim {
   obs::Counter* m_bytes_delivered_ = nullptr;
   obs::Counter* m_recomputes_ = nullptr;
   obs::Counter* m_events_ = nullptr;
+  obs::Counter* m_events_user_ = nullptr;
+  obs::Counter* m_events_completion_ = nullptr;
+  obs::Counter* m_events_stall_ = nullptr;
+  obs::Counter* m_events_stall_stale_ = nullptr;
+  obs::Counter* m_events_recompute_ = nullptr;
   obs::Gauge* m_active_flows_ = nullptr;
   obs::Histogram* m_recompute_ns_ = nullptr;
   obs::Histogram* m_network_change_ns_ = nullptr;

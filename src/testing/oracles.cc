@@ -111,15 +111,18 @@ void checkpoint_oracle(ScenarioConfig cfg, const std::string& workdir,
   fs::create_directories(workdir);
   const std::string ckpt_dir = (fs::path(workdir) / "ckpt").string();
 
-  // Checkpointing schedules extra simulator wake-ups, so the scheduler's
-  // event counter legitimately differs from a plain run; everything else
-  // must not.
+  // Checkpointing schedules extra simulator wake-ups (user events), so the
+  // scheduler's total and user-event counters legitimately differ from a
+  // plain run; everything else must not.
   const auto stable = [](ClusterExperiment& exp) {
     std::istringstream in(
         filter_manifest_lines(stable_manifest(exp, "ckpt_oracle")));
     std::string out, line;
     while (std::getline(in, line)) {
-      if (line.find("events_processed") != std::string::npos) continue;
+      if (line.find("events_processed") != std::string::npos ||
+          line.find("events_user") != std::string::npos) {
+        continue;
+      }
       out += line;
       out += '\n';
     }

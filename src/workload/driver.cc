@@ -1271,8 +1271,12 @@ void WorkloadDriver::start_output_phase(JobExec& job) {
     const Block& blk = store_.block(bid);
     const ServerId writer = blk.replicas.front();
     // Build the chain of (from, to) hops.
+    // Self-scheduling closures in this file reach themselves through a weak
+    // handle; the pending flow's callback owns the strong one, so a closure
+    // is freed as soon as no flow can call it again.  (Capturing the
+    // shared_ptr itself would form a cycle and leak every closure.)
     auto advance = std::make_shared<std::function<void(std::size_t)>>();
-    *advance = [this, jp, blk, writer, advance](std::size_t hop) {
+    *advance = [this, jp, blk, writer, self = std::weak_ptr(advance)](std::size_t hop) {
       if (hop + 1 >= blk.replicas.size() || jp->failed || horizon_reached()) {
         if (--jp->output_writes_pending == 0 && !jp->failed && !horizon_reached()) {
           PhaseLogRecord p;
@@ -1297,7 +1301,7 @@ void WorkloadDriver::start_output_phase(JobExec& job) {
       fs.job = jp->spec.id;
       fs.phase = jp->output_phase;
       fs.kind = FlowKind::kReplicaWrite;
-      sim_.start_flow(fs, [advance, hop](FlowSim&, const FlowRecord&) {
+      sim_.start_flow(fs, [advance = self.lock(), hop](FlowSim&, const FlowRecord&) {
         (*advance)(hop + 1);
       });
     };
@@ -1346,7 +1350,7 @@ void WorkloadDriver::start_egress(JobExec& job) {
   auto pump = std::make_shared<std::function<void()>>();
   const std::vector<BlockId> blocks = out.blocks;
   JobExec* jp = &job;
-  *pump = [this, jp, blocks, ext, state, pump] {
+  *pump = [this, jp, blocks, ext, state, self = std::weak_ptr(pump)] {
     while (state->second < config_.egress_concurrency && state->first < blocks.size()) {
       const Block& blk = store_.block(blocks[state->first++]);
       ++state->second;
@@ -1356,7 +1360,7 @@ void WorkloadDriver::start_egress(JobExec& job) {
       fs.bytes = blk.size;
       fs.job = jp->spec.id;
       fs.kind = FlowKind::kEgress;
-      sim_.start_flow(fs, [state, pump](FlowSim&, const FlowRecord&) {
+      sim_.start_flow(fs, [state, pump = self.lock()](FlowSim&, const FlowRecord&) {
         --state->second;
         (*pump)();
       });
@@ -1410,7 +1414,7 @@ void WorkloadDriver::run_evacuation(ServerId victim) {
   st->start = sim_.now();
 
   auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, victim, st, pump] {
+  *pump = [this, victim, st, self = std::weak_ptr(pump)] {
     while (st->in_flight < config_.evacuation_concurrency &&
            st->next < st->blocks.size()) {
       const BlockId bid = st->blocks[st->next++];
@@ -1426,8 +1430,8 @@ void WorkloadDriver::run_evacuation(ServerId victim) {
       fs.dst = target;
       fs.bytes = store_.block(bid).size;
       fs.kind = FlowKind::kEvacuation;
-      sim_.start_flow(fs, [this, victim, bid, target, st, pump](FlowSim&,
-                                                                const FlowRecord& rec) {
+      sim_.start_flow(fs, [this, victim, bid, target, st,
+                           pump = self.lock()](FlowSim&, const FlowRecord& rec) {
         --st->in_flight;
         if (!rec.failed && store_.has_replica(bid, victim) &&
             !store_.has_replica(bid, target)) {
@@ -1599,7 +1603,7 @@ void WorkloadDriver::run_rereplication(ServerId failed) {
   st->blocks = std::move(blocks);
 
   auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, failed, st, pump] {
+  *pump = [this, failed, st, self = std::weak_ptr(pump)] {
     while (st->in_flight < config_.evacuation_concurrency &&
            st->next < st->blocks.size()) {
       const BlockId bid = st->blocks[st->next++];
@@ -1627,7 +1631,7 @@ void WorkloadDriver::run_rereplication(ServerId failed) {
       fs.bytes = store_.block(bid).size;
       fs.kind = FlowKind::kEvacuation;  // recovery traffic shares the kind
       sim_.start_flow(fs, [this, failed, bid, target, st,
-                           pump](FlowSim&, const FlowRecord& rec) {
+                           pump = self.lock()](FlowSim&, const FlowRecord& rec) {
         --st->in_flight;
         if (!rec.failed && store_.has_replica(bid, failed) &&
             !store_.has_replica(bid, target)) {
@@ -1936,14 +1940,15 @@ void WorkloadDriver::run_ingest() {
   st->blocks = store_.dataset(ds).blocks;
 
   auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, ds, ext, st, pump] {
+  *pump = [this, ds, ext, st, self = std::weak_ptr(pump)] {
     while (st->in_flight < config_.ingest_concurrency && st->next < st->blocks.size()) {
       const BlockId bid = st->blocks[st->next++];
       ++st->in_flight;
       const Block& blk = store_.block(bid);
       // Chain: external -> replica0 -> replica1 -> replica2.
       auto hop = std::make_shared<std::function<void(std::size_t)>>();
-      *hop = [this, st, pump, bid, ext, hop](std::size_t i) {
+      *hop = [this, st, pump = self.lock(), bid, ext,
+              hop_self = std::weak_ptr(hop)](std::size_t i) {
         const Block& b = store_.block(bid);
         const ServerId from = i == 0 ? ext : b.replicas[i - 1];
         if (i >= b.replicas.size()) {
@@ -1956,7 +1961,9 @@ void WorkloadDriver::run_ingest() {
         fs.dst = b.replicas[i];
         fs.bytes = b.size;
         fs.kind = i == 0 ? FlowKind::kIngest : FlowKind::kReplicaWrite;
-        sim_.start_flow(fs, [hop, i](FlowSim&, const FlowRecord&) { (*hop)(i + 1); });
+        sim_.start_flow(fs, [hop = hop_self.lock(), i](FlowSim&, const FlowRecord&) {
+          (*hop)(i + 1);
+        });
       };
       (void)blk;
       (*hop)(0);

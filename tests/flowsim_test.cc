@@ -6,6 +6,9 @@
 
 #include "common/require.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
+#include "topology/network_state.h"
 #include "topology/topology.h"
 
 namespace dct {
@@ -293,6 +296,90 @@ TEST(FlowSim, DeterministicAcrossRuns) {
     return signature;
   };
   EXPECT_DOUBLE_EQ(run_once(), run_once());
+}
+
+// The event loop pops only events that happen: every pop is a user
+// callback, a real completion, a stall check or a recompute.  A queue that
+// re-armed every active flow's completion on each rate recompute would pop
+// about one stale completion per active flow per recompute here.
+TEST(FlowSim, EventCountMatchesRealEvents) {
+  Topology topo(test_topology());
+  FlowSimConfig cfg = exact_config(200.0);
+  cfg.fail_rate_floor = 0.0;  // no stall events
+  FlowSim sim(topo, cfg);
+  obs::Registry registry;
+  sim.bind_metrics(registry);
+  Rng rng(7);
+  constexpr std::size_t kFlows = 300;  // one user event starts each
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const auto t = rng.uniform(0.0, 20.0);
+    const ServerId src{static_cast<std::int32_t>(rng.uniform_int(0, 19))};
+    const ServerId dst{static_cast<std::int32_t>((src.value() + 1 +
+                                                  rng.uniform_int(0, 18)) % 20)};
+    const Bytes bytes = rng.uniform_int(1'000'000, 50'000'000);
+    sim.at(t, [=](FlowSim& s) { s.start_flow(flow(src, dst, bytes)); });
+  }
+  sim.run();
+  std::size_t completions = 0;
+  for (const auto& r : sim.records()) completions += !r.failed && !r.truncated;
+  ASSERT_EQ(completions, kFlows);
+  const std::uint64_t processed =
+      registry.counter("flowsim", "events_processed", "events")->value();
+  if (obs::kEnabled) {
+    EXPECT_GT(processed, completions);
+  }
+  // Exact mode finds the active set dirty at every recompute event.
+  EXPECT_LE(processed, kFlows + completions + sim.recompute_count());
+}
+
+TEST(FlowSim, SimultaneousCompletionsFireInStartOrder) {
+  Topology topo(test_topology());
+  FlowSim sim(topo, exact_config());
+  std::vector<std::int32_t> fired;
+  const auto note = [&](FlowSim&, const FlowRecord& rec) { fired.push_back(rec.id.value()); };
+  // Disjoint same-rack paths in racks 1 and 0, both limited by their
+  // 125 MB/s NICs: they finish at the same instant.
+  const FlowId first = sim.start_flow(flow(ServerId{5}, ServerId{6}, 62'500'000), note);
+  const FlowId second = sim.start_flow(flow(ServerId{0}, ServerId{1}, 62'500'000), note);
+  sim.run();
+  ASSERT_EQ(sim.records().size(), 2u);
+  EXPECT_EQ(sim.records()[0].end, sim.records()[1].end);
+  EXPECT_EQ(fired, (std::vector<std::int32_t>{first.value(), second.value()}));
+}
+
+TEST(FlowSim, ReroutedFlowCompletesOnceAtItsNewRate) {
+  TopologyConfig tc = test_topology();
+  tc.redundant_tor_uplinks = true;
+  Topology topo(tc);
+  NetworkState net(topo);
+  FlowSim sim(topo, exact_config(60.0));
+  sim.set_network_state(&net);
+  // The secondary uplink runs at a third of its 187.5 MB/s: 62.5 MB/s,
+  // half the 125 MB/s NIC rate the flow gets on its primary path.
+  const LinkId backup = topo.tor_up2_link(RackId{0});
+  sim.set_link_capacity_factor(backup, 1.0 / 3.0);
+
+  const ServerId src = topo.servers_in_rack(RackId{0}).front();
+  const ServerId dst = topo.servers_in_rack(RackId{3}).front();
+  int completions = 0;
+  sim.start_flow(flow(src, dst, 250'000'000),
+                 [&](FlowSim&, const FlowRecord&) { ++completions; });
+  sim.at(1.0, [&](FlowSim& s) {
+    net.set_link_up(topo.tor_up_link(RackId{0}), false);
+    EXPECT_EQ(s.handle_network_change().flows_rerouted, 1);
+  });
+  sim.run();
+
+  EXPECT_EQ(completions, 1);
+  ASSERT_EQ(sim.records().size(), 1u);
+  const FlowRecord& rec = sim.records().front();
+  EXPECT_FALSE(rec.failed);
+  EXPECT_FALSE(rec.truncated);
+  EXPECT_EQ(rec.bytes_sent, 250'000'000);
+  // 125 MB in the first second, the other 125 MB at 62.5 MB/s.
+  EXPECT_NEAR(rec.end, 3.0, 1e-6);
+  const auto& bytes = sim.link_bytes(backup);
+  EXPECT_NEAR(bytes.value(1) + bytes.value(2), 125e6, 1.0);
 }
 
 TEST(FlowSim, RejectsMisuse) {

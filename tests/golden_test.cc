@@ -11,8 +11,10 @@
 #include "analysis/congestion.h"
 #include "analysis/flowstats.h"
 #include "analysis/traffic_matrix.h"
+#include "ckpt/snapshot.h"
 #include "common/stats.h"
 #include "core/experiment.h"
+#include "trace/codec.h"
 
 namespace dct {
 namespace {
@@ -105,6 +107,60 @@ TEST(Golden, WorkSeeksBandwidthHoldsRelativeToRandom) {
   // (servers_per_rack-1)/(internal-1) ~ 3.8%.  Locality placement must
   // beat that by an order of magnitude.
   EXPECT_GT(lb.frac_same_rack, 0.15);
+}
+
+// Bit-exact trajectory digests: FNV-1a over the encoded trace, and over
+// every link's utilization-byte series in link-id order.  These pin the
+// simulator's output to the last bit, so a change meant to be a pure
+// speed-up (same results) proves it here.  Re-derive them only on an
+// intended re-baseline (docs/TESTING.md).
+struct Digest {
+  std::size_t flows = 0;
+  std::int64_t jobs = 0;
+  std::uint64_t trace = 0;
+  std::uint64_t links = 0;
+};
+
+Digest digest_of(const ClusterExperiment& exp) {
+  Digest d;
+  d.flows = exp.trace().flow_count();
+  d.jobs = exp.workload_stats().jobs_submitted;
+  d.trace = ckpt::fnv1a(ckpt::kFnvOffset, encode_trace(exp.trace()));
+  d.links = ckpt::kFnvOffset;
+  for (std::int32_t l = 0; l < exp.topology().link_count(); ++l) {
+    const auto& v = exp.sim().link_bytes(LinkId{l}).values();
+    d.links = ckpt::fnv1a(
+        d.links, std::span(reinterpret_cast<const std::uint8_t*>(v.data()),
+                           v.size() * sizeof(double)));
+  }
+  return d;
+}
+
+Digest run_digest(ScenarioConfig cfg) {
+  ClusterExperiment exp(std::move(cfg));
+  exp.run();
+  return digest_of(exp);
+}
+
+void expect_digest(const Digest& got, std::size_t flows, std::int64_t jobs,
+                   std::uint64_t trace, std::uint64_t links) {
+  EXPECT_EQ(got.flows, flows);
+  EXPECT_EQ(got.jobs, jobs);
+  EXPECT_EQ(got.trace, trace) << std::hex << "trace fnv 0x" << got.trace;
+  EXPECT_EQ(got.links, links) << std::hex << "link fnv 0x" << got.links;
+}
+
+TEST(Golden, TrajectoryDigest) {
+  expect_digest(digest_of(golden().exp), 51759, 654, 0xa107349b01f71d72ULL,
+                0x99c749359bd3efeeULL);
+  expect_digest(run_digest(scenarios::fault_storm(120.0, 3)), 19907, 255,
+                0xa32541057c251f59ULL, 0x797f379d51601525ULL);
+  expect_digest(run_digest(scenarios::gray_failure(120.0, 5)), 26024, 319,
+                0x2f401375f56e3868ULL, 0x9698a7f9eb5ad0bbULL);
+  ScenarioConfig exact = scenarios::tiny(60.0, 1);
+  exact.sim.recompute_interval = 0.0;
+  expect_digest(run_digest(std::move(exact)), 899, 16, 0x1cec2f27f6f39d46ULL,
+                0xea58e0c997c992e6ULL);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // golden output, and — the property everything else leans on — that two
 // identical seeded runs produce identical counter/gauge values while the
 // instrumentation itself never perturbs the simulation.
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -237,6 +238,24 @@ TEST(Experiment, ManifestDescribesTheRun) {
   } else {
     EXPECT_TRUE(m.metrics.empty());
   }
+}
+
+TEST(Experiment, EventKindCountersPartitionEventsProcessed) {
+  auto exp = ClusterExperiment(scenarios::tiny(30.0, 11));
+  exp.run();
+  std::map<std::string, double> v;
+  for (auto& [name, value] : exp.registry().scalar_snapshot()) v[name] = value;
+  if (!kEnabled) {
+    EXPECT_TRUE(v.empty());
+    return;
+  }
+  EXPECT_GT(v.at("flowsim.events_processed"), 0.0);
+  EXPECT_EQ(v.at("flowsim.events_user") + v.at("flowsim.events_completion") +
+                v.at("flowsim.events_stall") + v.at("flowsim.events_stall_stale") +
+                v.at("flowsim.events_recompute"),
+            v.at("flowsim.events_processed"));
+  // Every completion event finishes a flow: none is stale.
+  EXPECT_EQ(v.at("flowsim.events_completion"), v.at("flowsim.flows_completed"));
 }
 
 TEST(Experiment, ManifestBeforeRunThrows) {

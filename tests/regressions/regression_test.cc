@@ -44,8 +44,9 @@ TEST(ProptestRegressions, CodecCanonicalFormIsStable) {
 
 // oracle.checkpoint originally flagged a manifest mismatch between a plain
 // and a checkpointed run: checkpointing schedules extra simulator wake-ups,
-// so flowsim.events_processed legitimately differs.  The oracle now filters
-// that counter; this replay runs the oracle end-to-end to pin the fix.
+// so flowsim.events_processed (and its user-event share, events_user)
+// legitimately differ.  The oracle now filters those counters; this replay
+// runs the oracle end-to-end to pin the fix.
 TEST(ProptestRegressions, CheckpointedRunMatchesPlainRun) {
   const ScenarioConfig cfg =
       testing::load_repro_file(repro_path("repro_ckpt_manifest_seed5.json"));
