@@ -3,7 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,23 +56,6 @@ void CheckpointConfig::validate() const {
                               std::to_string(interval_s) + ")");
 }
 
-Fingerprint& Fingerprint::u64(std::uint64_t v) noexcept {
-  std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  h_ = fnv1a(h_, b);
-  return *this;
-}
-
-Fingerprint& Fingerprint::f64(double v) noexcept {
-  return u64(std::bit_cast<std::uint64_t>(v));
-}
-
-Fingerprint& Fingerprint::str(std::string_view s) noexcept {
-  u64(s.size());
-  h_ = fnv1a(h_, {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
-  return *this;
-}
-
 CheckpointManager::CheckpointManager(CheckpointConfig cfg, std::uint64_t fingerprint)
     : cfg_(std::move(cfg)), fingerprint_(fingerprint) {
   cfg_.validate();
@@ -118,12 +101,13 @@ void CheckpointManager::recover() {
     if (name.size() > prefix_len + suffix_len &&
         name.compare(0, prefix_len, kSnapshotPrefix) == 0 &&
         name.compare(name.size() - suffix_len, suffix_len, kSnapshotSuffix) == 0) {
-      const std::string digits =
-          name.substr(prefix_len, name.size() - prefix_len - suffix_len);
-      if (!digits.empty() &&
-          digits.find_first_not_of("0123456789") == std::string::npos) {
-        snapshot_ids.push_back(std::stoull(digits));
-      }
+      // Only all-digit ids that fit in a u64 name snapshots; anything else
+      // is a stray file, not a generation to recover from.
+      const char* first = name.data() + prefix_len;
+      const char* last = name.data() + name.size() - suffix_len;
+      std::uint64_t id = 0;
+      const auto [end, ec] = std::from_chars(first, last, id);
+      if (ec == std::errc() && end == last) snapshot_ids.push_back(id);
     }
   }
 

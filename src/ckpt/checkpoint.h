@@ -5,12 +5,14 @@
 // same config produces bit-identical events at any thread count.  A
 // checkpoint directory therefore holds two kinds of durable artifact:
 //
-//   * snapshot-<id>.dsnp — periodic, checksummed captures of the full
-//     experiment state (ckpt/snapshot.h), written atomically (tmp + rename,
+//   * snapshot-<id>.dsnp — periodic, checksummed witnesses of the
+//     experiment state (ckpt/snapshot.h): the sim clock, the WAL cursor and
+//     one digest per state section, written atomically (tmp + rename,
 //     fsync) with last-two retention.  On resume the newest valid snapshot
 //     is not "loaded into" the engines — the run replays from t=0, and when
-//     the replay reaches the snapshot's sim time the live state must match
-//     the stored state bit-for-bit, or the resume fails as divergent.
+//     the replay reaches the snapshot's sim time the live section digests
+//     must match the stored ones, or the resume fails as divergent, naming
+//     the first section that differs.
 //
 //   * trace.dwal — the write-ahead trace spool (ckpt/wal.h).  Records the
 //     replay re-emits over the durable prefix are verified against the
@@ -27,7 +29,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "ckpt/snapshot.h"
 #include "ckpt/wal.h"
@@ -52,31 +53,16 @@ struct CheckpointConfig {
   void validate() const;
 };
 
-/// Accumulates scenario identity into the fingerprint that binds snapshots
-/// and the WAL to one experiment.  Fold order is part of the format; core
-/// folds name, seed, horizon, topology shape and subsystem-enable flags —
-/// not parallelism, which by the determinism contract cannot change
-/// results.
-class Fingerprint {
- public:
-  Fingerprint& u64(std::uint64_t v) noexcept;
-  Fingerprint& f64(double v) noexcept;  ///< IEEE-754 bit pattern
-  Fingerprint& flag(bool b) noexcept { return u64(b ? 1 : 0); }
-  Fingerprint& str(std::string_view s) noexcept;
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = kFnvOffset;
-};
-
 /// Owns one checkpoint directory for the lifetime of one run attempt.
 ///
 /// Construction performs recovery: stale snapshot temp files from a
 /// mid-snapshot kill are removed, the WAL is opened (truncating any torn
 /// tail), and the newest snapshot that decodes, matches the scenario
 /// fingerprint and is consistent with the durable WAL prefix becomes the
-/// resume target.  Snapshots that fail any of those checks are skipped in
-/// favor of the next-older one — that is what last-two retention is for.
+/// resume target.  Snapshots that fail any of those checks — an older
+/// format version among them — are skipped in favor of the next-older one;
+/// that is what last-two retention is for.  A snapshot file name whose id
+/// is not a u64 is not a snapshot and is ignored.
 class CheckpointManager {
  public:
   /// Recovery/progress counters, published as ckpt.* metrics after the run.
@@ -119,10 +105,10 @@ class CheckpointManager {
   /// it.
   void on_record(const FlowRecord& rec);
 
-  /// Checkpoint tick.  `live` carries the capture's id, sim time and state
-  /// sections; the manager fills identity/lineage/WAL-cursor fields.
+  /// Checkpoint tick.  `live` carries the capture's id, sim time and section
+  /// digests; the manager fills identity/lineage/WAL-cursor fields.
   /// Before the resume point: skipped (fast replay).  At the resume point:
-  /// verified bit-for-bit against the stored snapshot.  Past it: WAL is
+  /// verified against the stored snapshot.  Past it: WAL is
   /// flushed, the snapshot is written atomically, and the
   /// two-generations-old snapshot is deleted.
   void checkpoint(Snapshot live);

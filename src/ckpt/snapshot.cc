@@ -1,8 +1,5 @@
 #include "ckpt/snapshot.h"
 
-#include <bit>
-#include <cstring>
-
 #include "common/require.h"
 #include "trace/codec.h"
 
@@ -10,10 +7,11 @@ namespace dct::ckpt {
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'D', 'S', 'N', 'P'};
-constexpr std::uint8_t kVersion = 1;
+constexpr std::uint8_t kVersion = 2;
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 1;
+// Header plus the eleven u64 fields; the 8-byte trailer follows.
+constexpr std::size_t kBodyBytes = kHeaderBytes + 11 * 8;
 
-// Fixed-width little-endian u64, used for hashes and double bit patterns so
-// the encoding is independent of varint length quirks.
 void put_u64(ByteWriter& w, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) w.u8(static_cast<std::uint8_t>(v >> (8 * i)));
 }
@@ -24,248 +22,36 @@ std::uint64_t get_u64(ByteReader& r) {
   return v;
 }
 
-void put_f64(ByteWriter& w, double v) { put_u64(w, std::bit_cast<std::uint64_t>(v)); }
-double get_f64(ByteReader& r) { return std::bit_cast<double>(get_u64(r)); }
-
-void put_rng(ByteWriter& w, const std::array<std::uint64_t, 4>& s) {
-  for (std::uint64_t word : s) put_u64(w, word);
-}
-
-std::array<std::uint64_t, 4> get_rng(ByteReader& r) {
-  std::array<std::uint64_t, 4> s{};
-  for (auto& word : s) word = get_u64(r);
-  return s;
-}
-
-// --- Section encoders ------------------------------------------------------
-// Each section is encoded by one function so describe_divergence can compare
-// stored-vs-live section bytes and name the first one that differs.
-
-void encode_flowsim(ByteWriter& w, const FlowSim::CheckpointState& s) {
-  w.svarint(ByteWriter::quantize_time(s.now));
-  w.uvarint(s.seq);
-  w.uvarint(s.started);
-  w.uvarint(s.failed);
-  w.uvarint(s.fault_killed);
-  w.uvarint(s.fault_rerouted);
-  w.uvarint(s.recomputes);
-  put_rng(w, s.rng);
-  w.uvarint(s.flows.size());
-  for (const auto& f : s.flows) {
-    w.svarint(f.id);
-    w.svarint(f.src);
-    w.svarint(f.dst);
-    w.svarint(f.bytes);
-    put_f64(w, f.remaining);
-    put_f64(w, f.rate);
-    put_f64(w, f.start);
-    put_f64(w, f.last_deposit);
-    put_f64(w, f.stall_since);
-    w.uvarint(f.generation);
-    w.svarint(f.job);
-    w.svarint(f.phase);
-    w.u8(f.kind);
-  }
-  w.uvarint(s.degraded_links.size());
-  for (const auto& [link, factor] : s.degraded_links) {
-    w.svarint(link);
-    put_f64(w, factor);
-  }
-}
-
-void decode_flowsim(ByteReader& r, FlowSim::CheckpointState& s) {
-  s.now = ByteWriter::dequantize_time(r.svarint());
-  s.seq = r.uvarint();
-  s.started = r.uvarint();
-  s.failed = r.uvarint();
-  s.fault_killed = r.uvarint();
-  s.fault_rerouted = r.uvarint();
-  s.recomputes = r.uvarint();
-  s.rng = get_rng(r);
-  const std::uint64_t n_flows = r.uvarint();
-  require(n_flows <= r.remaining(), "decode_snapshot: flow count exceeds payload");
-  s.flows.resize(static_cast<std::size_t>(n_flows));
-  for (auto& f : s.flows) {
-    f.id = static_cast<std::int32_t>(r.svarint());
-    f.src = static_cast<std::int32_t>(r.svarint());
-    f.dst = static_cast<std::int32_t>(r.svarint());
-    f.bytes = r.svarint();
-    f.remaining = get_f64(r);
-    f.rate = get_f64(r);
-    f.start = get_f64(r);
-    f.last_deposit = get_f64(r);
-    f.stall_since = get_f64(r);
-    f.generation = static_cast<std::uint32_t>(r.uvarint());
-    f.job = static_cast<std::int32_t>(r.svarint());
-    f.phase = static_cast<std::int32_t>(r.svarint());
-    f.kind = r.u8();
-  }
-  const std::uint64_t n_links = r.uvarint();
-  require(n_links <= r.remaining(), "decode_snapshot: link count exceeds payload");
-  s.degraded_links.resize(static_cast<std::size_t>(n_links));
-  for (auto& [link, factor] : s.degraded_links) {
-    link = static_cast<std::int32_t>(r.svarint());
-    factor = get_f64(r);
-  }
-}
-
-void encode_workload(ByteWriter& w, const WorkloadDriver::CheckpointState& s) {
-  const WorkloadStats& st = s.stats;
-  for (std::int64_t v :
-       {st.jobs_submitted, st.jobs_completed, st.jobs_failed, st.extract_reads_local,
-        st.extract_reads_remote, st.shuffle_fetches, st.read_failures, st.evacuations,
-        st.ingest_sessions, st.server_crashes, st.vertices_reexecuted,
-        st.blocks_rereplicated, st.stragglers_observed, st.spec_launched, st.spec_wins,
-        st.spec_cancelled, st.hedges_launched, st.hedge_wins, st.repairs_enqueued,
-        st.repairs_dispatched, st.repairs_deferred, st.repairs_retried,
-        st.repairs_abandoned, st.placement_tier[0], st.placement_tier[1],
-        st.placement_tier[2], st.placement_tier[3]}) {
-    w.svarint(v);
-  }
-  put_rng(w, s.rng);
-  put_rng(w, s.mitigation_rng);
-  w.svarint(s.next_job);
-  w.svarint(s.next_phase);
-  w.svarint(s.running_jobs);
-  w.svarint(s.jobs_tracked);
-  w.svarint(s.queued_jobs);
-  w.svarint(s.repair_depth);
-  w.svarint(s.repair_in_flight);
-  w.svarint(s.repair_peak_depth);
-  w.svarint(s.under_replicated);
-  w.svarint(s.loss_episodes);
-  put_f64(w, s.first_loss);
-  put_f64(w, s.last_restore);
-  put_f64(w, s.debt);
-  put_f64(w, s.last_update);
-}
-
-void decode_workload(ByteReader& r, WorkloadDriver::CheckpointState& s) {
-  WorkloadStats& st = s.stats;
-  for (std::int64_t* v :
-       {&st.jobs_submitted, &st.jobs_completed, &st.jobs_failed,
-        &st.extract_reads_local, &st.extract_reads_remote, &st.shuffle_fetches,
-        &st.read_failures, &st.evacuations, &st.ingest_sessions, &st.server_crashes,
-        &st.vertices_reexecuted, &st.blocks_rereplicated, &st.stragglers_observed,
-        &st.spec_launched, &st.spec_wins, &st.spec_cancelled, &st.hedges_launched,
-        &st.hedge_wins, &st.repairs_enqueued, &st.repairs_dispatched,
-        &st.repairs_deferred, &st.repairs_retried, &st.repairs_abandoned,
-        &st.placement_tier[0], &st.placement_tier[1], &st.placement_tier[2],
-        &st.placement_tier[3]}) {
-    *v = r.svarint();
-  }
-  s.rng = get_rng(r);
-  s.mitigation_rng = get_rng(r);
-  s.next_job = static_cast<std::int32_t>(r.svarint());
-  s.next_phase = static_cast<std::int32_t>(r.svarint());
-  s.running_jobs = static_cast<std::int32_t>(r.svarint());
-  s.jobs_tracked = r.svarint();
-  s.queued_jobs = r.svarint();
-  s.repair_depth = r.svarint();
-  s.repair_in_flight = r.svarint();
-  s.repair_peak_depth = r.svarint();
-  s.under_replicated = r.svarint();
-  s.loss_episodes = r.svarint();
-  s.first_loss = get_f64(r);
-  s.last_restore = get_f64(r);
-  s.debt = get_f64(r);
-  s.last_update = get_f64(r);
-}
-
-void encode_faults(ByteWriter& w, bool has, const FaultInjector::CheckpointState& s) {
-  w.u8(has ? 1 : 0);
-  if (!has) return;
-  w.uvarint(s.injected);
-  w.uvarint(s.skipped);
-  w.uvarint(s.degradations_injected);
-  w.uvarint(s.degradations_skipped);
-  w.uvarint(s.flap_transitions);
-  w.uvarint(s.cascade_trips);
-  w.uvarint(s.cascades_suppressed);
-  w.svarint(s.max_cascade_depth);
-  put_rng(w, s.cascade_rng);
-}
-
-bool decode_faults(ByteReader& r, FaultInjector::CheckpointState& s) {
-  const std::uint8_t has = r.u8();
-  require(has <= 1, "decode_snapshot: bad injector presence flag");
-  if (has == 0) return false;
-  s.injected = r.uvarint();
-  s.skipped = r.uvarint();
-  s.degradations_injected = r.uvarint();
-  s.degradations_skipped = r.uvarint();
-  s.flap_transitions = r.uvarint();
-  s.cascade_trips = r.uvarint();
-  s.cascades_suppressed = r.uvarint();
-  s.max_cascade_depth = static_cast<std::int32_t>(r.svarint());
-  s.cascade_rng = get_rng(r);
-  return true;
-}
-
-void encode_obs(ByteWriter& w,
-                const std::vector<std::pair<std::string, double>>& counters) {
-  w.uvarint(counters.size());
-  for (const auto& [name, value] : counters) {
-    w.uvarint(name.size());
-    for (char c : name) w.u8(static_cast<std::uint8_t>(c));
-    put_f64(w, value);
-  }
-}
-
-void decode_obs(ByteReader& r,
-                std::vector<std::pair<std::string, double>>& counters) {
-  const std::uint64_t n = r.uvarint();
-  require(n <= r.remaining(), "decode_snapshot: obs count exceeds payload");
-  counters.resize(static_cast<std::size_t>(n));
-  for (auto& [name, value] : counters) {
-    const std::uint64_t len = r.uvarint();
-    require(len <= r.remaining(), "decode_snapshot: obs name exceeds payload");
-    name.resize(static_cast<std::size_t>(len));
-    for (char& c : name) c = static_cast<char>(r.u8());
-    value = get_f64(r);
-  }
-}
-
-// Section bytes in isolation, for divergence reporting.
-template <typename Fn>
-std::vector<std::uint8_t> section_bytes(Fn&& encode) {
-  ByteWriter w;
-  encode(w);
-  return w.take();
+std::string digest_mismatch(const char* section, std::uint64_t stored,
+                            std::uint64_t live) {
+  return std::string(section) + " section differs (stored digest " +
+         std::to_string(stored) + ", replayed " + std::to_string(live) + ")";
 }
 
 }  // namespace
-
-std::uint64_t fnv1a(std::uint64_t h, std::span<const std::uint8_t> data) noexcept {
-  for (std::uint8_t b : data) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::vector<std::uint8_t> encode_snapshot(const Snapshot& s) {
   ByteWriter w;
   for (std::uint8_t m : kMagic) w.u8(m);
   w.u8(kVersion);
   put_u64(w, s.fingerprint);
-  w.uvarint(s.id);
-  w.svarint(s.sim_time_us);
-  w.uvarint(s.resume_count);
-  w.uvarint(s.wal_records);
-  w.uvarint(s.wal_bytes);
+  put_u64(w, s.id);
+  put_u64(w, static_cast<std::uint64_t>(s.sim_time_us));
+  put_u64(w, s.resume_count);
+  put_u64(w, s.wal_records);
+  put_u64(w, s.wal_bytes);
   put_u64(w, s.wal_hash);
-  encode_flowsim(w, s.flowsim);
-  encode_workload(w, s.workload);
-  encode_faults(w, s.has_injector, s.faults);
-  encode_obs(w, s.obs_counters);
+  put_u64(w, s.flowsim);
+  put_u64(w, s.workload);
+  put_u64(w, s.faults);
+  put_u64(w, s.obs);
   const std::uint64_t checksum = fnv1a(kFnvOffset, w.bytes());
   put_u64(w, checksum);
   return w.take();
 }
 
 Snapshot decode_snapshot(std::span<const std::uint8_t> data) {
-  require(data.size() >= 8 + 5, "decode_snapshot: payload too short");
+  require(data.size() >= kHeaderBytes + 8, "decode_snapshot: payload too short");
   // Verify the trailer first: a torn or bit-flipped snapshot must be
   // rejected as a unit, never half-decoded.
   const auto body = data.subspan(0, data.size() - 8);
@@ -277,18 +63,19 @@ Snapshot decode_snapshot(std::span<const std::uint8_t> data) {
     require(r.u8() == m, "decode_snapshot: bad magic");
   }
   require(r.u8() == kVersion, "decode_snapshot: unsupported version");
+  require(body.size() >= kBodyBytes, "decode_snapshot: truncated");
   Snapshot s;
   s.fingerprint = get_u64(r);
-  s.id = r.uvarint();
-  s.sim_time_us = r.svarint();
-  s.resume_count = r.uvarint();
-  s.wal_records = r.uvarint();
-  s.wal_bytes = r.uvarint();
+  s.id = get_u64(r);
+  s.sim_time_us = static_cast<std::int64_t>(get_u64(r));
+  s.resume_count = get_u64(r);
+  s.wal_records = get_u64(r);
+  s.wal_bytes = get_u64(r);
   s.wal_hash = get_u64(r);
-  decode_flowsim(r, s.flowsim);
-  decode_workload(r, s.workload);
-  s.has_injector = decode_faults(r, s.faults);
-  decode_obs(r, s.obs_counters);
+  s.flowsim = get_u64(r);
+  s.workload = get_u64(r);
+  s.faults = get_u64(r);
+  s.obs = get_u64(r);
   require(r.done(), "decode_snapshot: trailing bytes");
   return s;
 }
@@ -298,33 +85,16 @@ std::string describe_divergence(const Snapshot& stored, const Snapshot& live) {
     return "sim clock: stored " + std::to_string(stored.sim_time_us) +
            "us, replayed " + std::to_string(live.sim_time_us) + "us";
   }
-  struct Section {
-    const char* name;
-    std::vector<std::uint8_t> a;
-    std::vector<std::uint8_t> b;
-  };
-  const Section sections[] = {
-      {"flowsim", section_bytes([&](ByteWriter& w) { encode_flowsim(w, stored.flowsim); }),
-       section_bytes([&](ByteWriter& w) { encode_flowsim(w, live.flowsim); })},
-      {"workload",
-       section_bytes([&](ByteWriter& w) { encode_workload(w, stored.workload); }),
-       section_bytes([&](ByteWriter& w) { encode_workload(w, live.workload); })},
-      {"faults",
-       section_bytes(
-           [&](ByteWriter& w) { encode_faults(w, stored.has_injector, stored.faults); }),
-       section_bytes(
-           [&](ByteWriter& w) { encode_faults(w, live.has_injector, live.faults); })},
-      {"obs",
-       section_bytes([&](ByteWriter& w) { encode_obs(w, stored.obs_counters); }),
-       section_bytes([&](ByteWriter& w) { encode_obs(w, live.obs_counters); })},
-  };
-  for (const Section& sec : sections) {
-    if (sec.a != sec.b) {
-      return std::string(sec.name) + " section differs (" +
-             std::to_string(sec.a.size()) + " vs " + std::to_string(sec.b.size()) +
-             " bytes)";
-    }
+  if (stored.flowsim != live.flowsim) {
+    return digest_mismatch("flowsim", stored.flowsim, live.flowsim);
   }
+  if (stored.workload != live.workload) {
+    return digest_mismatch("workload", stored.workload, live.workload);
+  }
+  if (stored.faults != live.faults) {
+    return digest_mismatch("faults", stored.faults, live.faults);
+  }
+  if (stored.obs != live.obs) return digest_mismatch("obs", stored.obs, live.obs);
   if (stored.wal_records != live.wal_records) {
     return "WAL record count: stored " + std::to_string(stored.wal_records) +
            ", replayed " + std::to_string(live.wal_records);

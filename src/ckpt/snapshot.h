@@ -1,43 +1,38 @@
-// Versioned, checksummed experiment-state snapshots (docs/CHECKPOINT.md).
+// Versioned, checksummed experiment-state witnesses (docs/CHECKPOINT.md).
 //
-// A snapshot freezes everything serializable about a running experiment at
-// one simulated instant: the sim clock and event-sequence cursor, the
-// in-flight flow table and degraded-link overlay, the workload driver's
-// cursors, RNG streams and redundancy ledger, the fault injector's schedule
-// cursors, and the obs registry's deterministic counters.  Together with
-// the write-ahead trace spool (ckpt/wal.h) it is the durable progress
-// record of a run: resume replays the scenario deterministically and proves
-// — byte-for-byte, via these snapshots — that the replayed state matches
-// the state the crashed run had reached.
+// Resume never loads a snapshot back into the engines: it replays the
+// scenario from t=0 and, when the replay reaches a snapshot's simulated
+// instant, proves the replayed state is the state the crashed run had
+// reached.  A snapshot therefore stores only what that proof needs: the
+// sim clock, the WAL cursor it was flushed behind (ckpt/wal.h), and one
+// FNV-1a digest per state section — the simulator (clock, event cursor,
+// in-flight flow table, degraded links, RNG), the workload driver (stats,
+// cursors, RNG streams, redundancy ledger), the fault injector (schedule
+// cursors, cascade RNG) and the obs registry's deterministic counters.
+// Per-section digests let a divergent resume name the first section that
+// differs.
 //
-// Encoding: little-endian magic/version header, varint-packed sections in a
-// fixed order, FNV-1a trailer checksum over everything before it.  Doubles
-// are stored as raw IEEE-754 bit patterns, never re-parsed text, so a
-// decoded snapshot compares bit-identically against a live capture.
+// Encoding (version 2): magic "DSNP", a version byte, eleven fixed-width
+// little-endian u64 fields, then an FNV-1a trailer over everything before
+// it.  Version-1 files (the full serialized state) fail decode and are
+// skipped on recovery like any other unreadable snapshot.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "faults/injector.h"
-#include "flowsim/flowsim.h"
-#include "workload/driver.h"
+#include "common/fnv.h"
 
 namespace dct::ckpt {
 
-/// FNV-1a offset basis / prime, shared by the snapshot trailer and the WAL
-/// record checksums.
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+// Code outside the library (the benchmark, golden digests) hashes through
+// these names.
+using dct::fnv1a;
+using dct::kFnvOffset;
 
-/// Folds `data` into a running FNV-1a hash.
-[[nodiscard]] std::uint64_t fnv1a(std::uint64_t h,
-                                  std::span<const std::uint8_t> data) noexcept;
-
-/// One frozen experiment state.
+/// One experiment-state witness.
 struct Snapshot {
   /// Identity of the producing scenario (ckpt::scenario_fingerprint); a
   /// snapshot never resumes a different scenario.
@@ -56,28 +51,28 @@ struct Snapshot {
   std::uint64_t wal_bytes = 0;
   std::uint64_t wal_hash = 0;
 
-  FlowSim::CheckpointState flowsim;
-  WorkloadDriver::CheckpointState workload;
-  bool has_injector = false;
-  FaultInjector::CheckpointState faults;
-  /// Deterministic registry counters/gauges (sorted by full name); wall-ns
-  /// and ckpt.* self-referential metrics are excluded by the capturer.
-  std::vector<std::pair<std::string, double>> obs_counters;
+  /// Section digests: FlowSim::state_digest(), WorkloadDriver::state_digest(),
+  /// FaultInjector::state_digest() (0 when the run has no injector), and the
+  /// digest of the deterministic obs counters.
+  std::uint64_t flowsim = 0;
+  std::uint64_t workload = 0;
+  std::uint64_t faults = 0;
+  std::uint64_t obs = 0;
 };
 
-/// Serializes a snapshot (header + sections + FNV-1a trailer).
+/// Serializes a snapshot (header + fixed fields + FNV-1a trailer).
 [[nodiscard]] std::vector<std::uint8_t> encode_snapshot(const Snapshot& s);
 
-/// Inverse of encode_snapshot.  Throws dct::Error on bad magic/version, a
-/// checksum mismatch (torn or corrupt file) or any structural damage.
+/// Inverse of encode_snapshot.  Throws dct::Error on a checksum mismatch
+/// (torn or corrupt file), bad magic, any version but 2, or a wrong length.
 [[nodiscard]] Snapshot decode_snapshot(std::span<const std::uint8_t> data);
 
-/// Compares the state sections (sim time, flowsim, workload, faults, obs)
+/// Compares the sim time, section digests (flowsim, workload, faults, obs)
 /// and WAL position of a stored snapshot against a live capture.  Returns
-/// "" when they match bit-for-bit, otherwise a one-line description naming
-/// the first divergent section — the error a resumed run reports when its
-/// replay does not reproduce the crashed run.  Lineage fields (id,
-/// resume_count) are not compared.
+/// "" when they match, otherwise a one-line description naming the first
+/// divergent section — the error a resumed run reports when its replay does
+/// not reproduce the crashed run.  Lineage fields (id, resume_count) are not
+/// compared.
 [[nodiscard]] std::string describe_divergence(const Snapshot& stored,
                                               const Snapshot& live);
 

@@ -9,7 +9,6 @@
 #include <ctime>
 #include <filesystem>
 
-#include "ckpt/snapshot.h"
 #include "common/fsio.h"
 #include "common/require.h"
 #include "trace/codec.h"
@@ -94,8 +93,8 @@ void fnv1a_pair(const std::vector<std::uint8_t>& bytes, std::uint64_t& frame_has
   std::uint64_t h = frame_hash;
   std::uint64_t c = chain;
   for (std::uint8_t b : bytes) {
-    h = (h ^ b) * 0x100000001b3ULL;
-    c = (c ^ b) * 0x100000001b3ULL;
+    h = (h ^ b) * kFnvPrime;
+    c = (c ^ b) * kFnvPrime;
   }
   frame_hash = h;
   chain = c;

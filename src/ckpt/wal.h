@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/units.h"
 #include "flowsim/flowsim.h"
 
@@ -46,10 +47,6 @@ struct WalFrameInfo {
 /// continues a different experiment.
 class TraceWal {
  public:
-  /// FNV-1a offset basis the record chain starts from (= ckpt::kFnvOffset;
-  /// duplicated here so wal.h does not need snapshot.h).
-  static constexpr std::uint64_t kFnvOffsetWal = 0xcbf29ce484222325ULL;
-
   /// Opens (or creates) `path` for the scenario identified by
   /// `fingerprint`.  `slow_ns`, when > 0, widens every append and flush
   /// with raw unbuffered half-writes separated by that many nanoseconds —
@@ -109,7 +106,7 @@ class TraceWal {
   /// Reused frame-encode scratch, so the encode never allocates per record.
   std::vector<std::uint8_t> payload_scratch_;
   std::vector<WalFrameInfo> frames_;
-  std::uint64_t chain_ = kFnvOffsetWal;
+  std::uint64_t chain_ = kFnvOffset;
   std::uint64_t valid_bytes_ = 0;
   std::uint64_t header_bytes_ = 0;
   std::uint64_t truncated_bytes_ = 0;

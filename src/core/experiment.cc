@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "analysis/analysis_obs.h"
+#include "common/fnv.h"
 #include "common/require.h"
 #include "trace/codec.h"
 
@@ -136,7 +137,7 @@ void ClusterExperiment::resume(const std::string& dir) {
 }
 
 std::uint64_t ClusterExperiment::scenario_fingerprint() const {
-  ckpt::Fingerprint fp;
+  Fnv1a fp;
   fp.str("dct-scenario-v1")
       .str(config_.name)
       .u64(config_.seed)
@@ -169,20 +170,19 @@ ckpt::Snapshot ClusterExperiment::capture_snapshot(std::uint64_t id) const {
   ckpt::Snapshot s;
   s.id = id;
   s.sim_time_us = ByteWriter::quantize_time(sim_.now());
-  s.flowsim = sim_.checkpoint_state();
-  s.workload = driver_.checkpoint_state();
-  if (injector_) {
-    s.has_injector = true;
-    s.faults = injector_->checkpoint_state();
-  }
-  // Deterministic scalars only: wall-clock accumulators differ between a
-  // run and its replay by nature, and ckpt.* would make snapshots describe
-  // themselves.
-  for (auto& [name, value] : registry_.scalar_snapshot()) {
+  s.flowsim = sim_.state_digest();
+  s.workload = driver_.state_digest();
+  s.faults = injector_ ? injector_->state_digest() : 0;
+  // Deterministic scalars only, in the registry's name order: wall-clock
+  // accumulators differ between a run and its replay by nature, and ckpt.*
+  // would make snapshots describe themselves.
+  Fnv1a counters;
+  for (const auto& [name, value] : registry_.scalar_snapshot()) {
     if (name.find("wall_ns") != std::string::npos) continue;
     if (name.rfind("ckpt.", 0) == 0) continue;
-    s.obs_counters.emplace_back(std::move(name), value);
+    counters.str(name).f64(value);
   }
+  s.obs = counters.value();
   return s;
 }
 

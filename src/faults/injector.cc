@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/fnv.h"
 #include "common/require.h"
 
 namespace dct {
@@ -335,6 +336,15 @@ void FaultInjector::install_degradations(std::vector<DegradationEvent> schedule)
     if (e.start >= horizon) continue;
     sim_.at(e.start, [this, e](FlowSim&) { inject_degradation(e); });
   }
+}
+
+std::uint64_t FaultInjector::state_digest() const {
+  Fnv1a h;
+  h.u64(injected_).u64(skipped_).u64(degradations_injected_);
+  h.u64(degradations_skipped_).u64(flap_transitions_).u64(cascade_trips_);
+  h.u64(cascades_suppressed_).i64(max_cascade_depth_observed_);
+  for (std::uint64_t word : cascade_rng_.state()) h.u64(word);
+  return h.value();
 }
 
 }  // namespace dct

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/fnv.h"
 #include "common/require.h"
 
 namespace dct {
@@ -662,45 +663,31 @@ void FlowSim::snapshot_link_rates(std::vector<double>& out) const {
   }
 }
 
-FlowSim::CheckpointState FlowSim::checkpoint_state() const {
-  CheckpointState s;
-  s.now = now_;
-  s.seq = seq_;
-  s.started = started_;
-  s.failed = failed_;
-  s.fault_killed = fault_killed_;
-  s.fault_rerouted = fault_rerouted_;
-  s.recomputes = recomputes_;
-  s.rng = rng_.state();
-  s.flows.reserve(active_.size());
-  for (const ActiveFlow& f : active_) {
-    CheckpointState::FlowState fs;
-    fs.id = f.id.value();
-    fs.src = f.spec.src.value();
-    fs.dst = f.spec.dst.value();
-    fs.bytes = f.spec.bytes;
-    fs.remaining = f.remaining;
-    fs.rate = f.rate;
-    fs.start = f.start;
-    fs.last_deposit = f.last_deposit;
-    fs.stall_since = f.stall_since;
-    fs.generation = f.generation;
-    fs.job = f.spec.job.value();
-    fs.phase = f.spec.phase.value();
-    fs.kind = static_cast<std::uint8_t>(f.spec.kind);
-    s.flows.push_back(fs);
-  }
+std::uint64_t FlowSim::state_digest() const {
+  Fnv1a h;
+  h.f64(now_).u64(seq_).u64(started_).u64(failed_).u64(fault_killed_);
+  h.u64(fault_rerouted_).u64(recomputes_);
+  for (std::uint64_t word : rng_.state()) h.u64(word);
   // The active table is swap-remove ordered; identical runs order it
-  // identically, but flow-id order makes the artifact canonical to read.
-  std::sort(s.flows.begin(), s.flows.end(),
-            [](const auto& a, const auto& b) { return a.id < b.id; });
-  for (std::size_t l = 0; l < link_cap_factor_.size(); ++l) {
-    if (link_cap_factor_[l] != 1.0) {
-      s.degraded_links.emplace_back(static_cast<std::int32_t>(l),
-                                    link_cap_factor_[l]);
-    }
+  // identically, but flow-id order makes the digest canonical.
+  std::vector<const ActiveFlow*> flows;
+  flows.reserve(active_.size());
+  for (const ActiveFlow& f : active_) flows.push_back(&f);
+  std::sort(flows.begin(), flows.end(), [](const ActiveFlow* a, const ActiveFlow* b) {
+    return a->id.value() < b->id.value();
+  });
+  h.u64(flows.size());
+  for (const ActiveFlow* f : flows) {
+    h.i64(f->id.value()).i64(f->spec.src.value()).i64(f->spec.dst.value());
+    h.i64(f->spec.bytes).f64(f->remaining).f64(f->rate).f64(f->start);
+    h.f64(f->last_deposit).f64(f->stall_since).u64(f->generation);
+    h.i64(f->spec.job.value()).i64(f->spec.phase.value());
+    h.u64(static_cast<std::uint64_t>(f->spec.kind));
   }
-  return s;
+  for (std::size_t l = 0; l < link_cap_factor_.size(); ++l) {
+    if (link_cap_factor_[l] != 1.0) h.u64(l).f64(link_cap_factor_[l]);
+  }
+  return h.value();
 }
 
 }  // namespace dct

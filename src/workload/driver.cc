@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <numbers>
 
+#include "common/fnv.h"
 #include "common/require.h"
 
 namespace dct {
@@ -1885,26 +1886,30 @@ RedundancyStats WorkloadDriver::redundancy(TimeSec now) const {
   return out;
 }
 
-WorkloadDriver::CheckpointState WorkloadDriver::checkpoint_state() const {
-  CheckpointState s;
-  s.stats = stats_;
-  s.rng = rng_.state();
-  s.mitigation_rng = mitigation_rng_.state();
-  s.next_job = next_job_;
-  s.next_phase = next_phase_;
-  s.running_jobs = running_jobs_;
-  s.jobs_tracked = static_cast<std::int64_t>(jobs_.size());
-  s.queued_jobs = static_cast<std::int64_t>(job_queue_.size());
-  s.repair_depth = static_cast<std::int64_t>(repair_queue_.depth());
-  s.repair_in_flight = repair_queue_.in_flight();
-  s.repair_peak_depth = static_cast<std::int64_t>(repair_queue_.peak_depth());
-  s.under_replicated = under_replicated_blocks_;
-  s.loss_episodes = redundancy_loss_episodes_;
-  s.first_loss = redundancy_first_loss_;
-  s.last_restore = redundancy_last_restore_;
-  s.debt = redundancy_debt_;
-  s.last_update = redundancy_last_update_;
-  return s;
+std::uint64_t WorkloadDriver::state_digest() const {
+  Fnv1a h;
+  const WorkloadStats& st = stats_;
+  for (std::int64_t v :
+       {st.jobs_submitted, st.jobs_completed, st.jobs_failed, st.extract_reads_local,
+        st.extract_reads_remote, st.shuffle_fetches, st.read_failures, st.evacuations,
+        st.ingest_sessions, st.server_crashes, st.vertices_reexecuted,
+        st.blocks_rereplicated, st.stragglers_observed, st.spec_launched, st.spec_wins,
+        st.spec_cancelled, st.hedges_launched, st.hedge_wins, st.repairs_enqueued,
+        st.repairs_dispatched, st.repairs_deferred, st.repairs_retried,
+        st.repairs_abandoned, st.placement_tier[0], st.placement_tier[1],
+        st.placement_tier[2], st.placement_tier[3]}) {
+    h.i64(v);
+  }
+  for (std::uint64_t word : rng_.state()) h.u64(word);
+  for (std::uint64_t word : mitigation_rng_.state()) h.u64(word);
+  h.i64(next_job_).i64(next_phase_).i64(running_jobs_);
+  h.u64(jobs_.size()).u64(job_queue_.size());
+  h.u64(repair_queue_.depth()).i64(repair_queue_.in_flight());
+  h.u64(repair_queue_.peak_depth());
+  h.i64(under_replicated_blocks_).i64(redundancy_loss_episodes_);
+  h.f64(redundancy_first_loss_).f64(redundancy_last_restore_);
+  h.f64(redundancy_debt_).f64(redundancy_last_update_);
+  return h.value();
 }
 
 // ---------------------------------------------------------------------------

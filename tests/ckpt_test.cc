@@ -45,11 +45,10 @@ ckpt::Snapshot sample_snapshot() {
   s.wal_records = 17;
   s.wal_bytes = 421;
   s.wal_hash = 0x1234;
-  s.flowsim.now = 15.0;
-  s.flowsim.seq = 99;
-  s.workload.next_job = 7;
-  s.obs_counters = {{"flowsim.events_processed", 1543.0},
-                    {"workload.jobs_submitted", 12.0}};
+  s.flowsim = 0x0123456789abcdefULL;
+  s.workload = 0xfedcba9876543210ULL;
+  s.faults = 0;  // no injector
+  s.obs = 0x5555aaaa5555aaaaULL;
   return s;
 }
 
@@ -80,17 +79,26 @@ TEST_F(CkptTest, SnapshotRoundTripsBitExactly) {
   EXPECT_EQ(back.sim_time_us, s.sim_time_us);
   EXPECT_EQ(back.resume_count, s.resume_count);
   EXPECT_EQ(back.wal_records, s.wal_records);
-  EXPECT_EQ(back.obs_counters, s.obs_counters);
+  EXPECT_EQ(back.wal_bytes, s.wal_bytes);
+  EXPECT_EQ(back.wal_hash, s.wal_hash);
+  EXPECT_EQ(back.flowsim, s.flowsim);
+  EXPECT_EQ(back.workload, s.workload);
+  EXPECT_EQ(back.faults, s.faults);
+  EXPECT_EQ(back.obs, s.obs);
   EXPECT_EQ(ckpt::describe_divergence(s, back), "");
+  EXPECT_EQ(ckpt::encode_snapshot(back), bytes);
 }
 
 TEST_F(CkptTest, SnapshotRejectsCorruptionAndTruncation) {
   auto bytes = ckpt::encode_snapshot(sample_snapshot());
-  // Every single-byte flip must be caught by the FNV trailer.
-  for (std::size_t i : {std::size_t{0}, bytes.size() / 2, bytes.size() - 1}) {
-    auto bad = bytes;
-    bad[i] ^= 0x01;
-    EXPECT_THROW((void)ckpt::decode_snapshot(bad), Error) << "flip at " << i;
+  // Every single-bit flip must be caught by the FNV trailer.
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto bad = bytes;
+      bad[i] ^= static_cast<std::uint8_t>(1u << bit);
+      EXPECT_THROW((void)ckpt::decode_snapshot(bad), Error)
+          << "flip of bit " << bit << " at " << i;
+    }
   }
   // Every proper prefix is torn.
   for (std::size_t len = 0; len < bytes.size(); ++len) {
@@ -103,8 +111,17 @@ TEST_F(CkptTest, SnapshotRejectsCorruptionAndTruncation) {
 TEST_F(CkptTest, DivergenceNamesTheFirstDifferingSection) {
   const ckpt::Snapshot stored = sample_snapshot();
   ckpt::Snapshot live = stored;
-  live.obs_counters[0].second += 1.0;
-  EXPECT_NE(ckpt::describe_divergence(stored, live), "");
+  live.obs ^= 1;
+  EXPECT_NE(ckpt::describe_divergence(stored, live).find("obs section"),
+            std::string::npos);
+  live.workload ^= 1;
+  EXPECT_NE(ckpt::describe_divergence(stored, live).find("workload section"),
+            std::string::npos)
+      << "the earlier section is named first";
+  live = stored;
+  live.faults = 7;
+  EXPECT_NE(ckpt::describe_divergence(stored, live).find("faults section"),
+            std::string::npos);
   // Lineage fields are excluded: a resumed run re-captures with a bumped
   // resume_count and a different id schedule.
   live = stored;
@@ -266,6 +283,89 @@ TEST_F(CkptTest, ResumeRejectsADifferentScenario) {
   cfg.checkpoint.interval_s = 5.0;
   ClusterExperiment exp(cfg);
   EXPECT_THROW(exp.resume(ck), Error);
+}
+
+// Newest snapshot file in a checkpoint directory (ids are zero-padded, so
+// name order is id order).
+fs::path newest_snapshot(const std::string& ck) {
+  fs::path newest;
+  for (const auto& e : fs::directory_iterator(ck)) {
+    if (e.path().extension() == ".dsnp" && e.path() > newest) newest = e.path();
+  }
+  return newest;
+}
+
+TEST_F(CkptTest, SectionDigestsAreDeterministicAndTrackProgress) {
+  const std::string a = (dir_ / "a").string();
+  const std::string b = (dir_ / "b").string();
+  (void)run_trace(20.0, 11, a);
+  (void)run_trace(20.0, 11, b);
+  // Two fresh runs of one scenario write byte-identical snapshots...
+  std::vector<ckpt::Snapshot> gens;
+  for (const auto& e : fs::directory_iterator(a)) {
+    if (e.path().extension() != ".dsnp") continue;
+    const auto bytes = read_file_bytes(e.path().string());
+    EXPECT_EQ(bytes, read_file_bytes((fs::path(b) / e.path().filename()).string()))
+        << e.path().filename();
+    gens.push_back(ckpt::decode_snapshot(bytes));
+  }
+  // ...and every section the run advances moves between the two retained
+  // generations.  `tiny` installs no fault injector.
+  ASSERT_EQ(gens.size(), 2u);
+  EXPECT_NE(gens[0].flowsim, gens[1].flowsim);
+  EXPECT_NE(gens[0].workload, gens[1].workload);
+  EXPECT_NE(gens[0].obs, gens[1].obs);
+  EXPECT_EQ(gens[0].faults, 0u);
+  EXPECT_EQ(gens[1].faults, 0u);
+}
+
+TEST_F(CkptTest, ResumeRejectsDivergentAndSkipsOldFormatSnapshots) {
+  const std::string ck = (dir_ / "ck").string();
+  const auto reference = run_trace(20.0, 11, ck);
+  const fs::path newest = newest_snapshot(ck);
+  ASSERT_FALSE(newest.empty());
+
+  // One section digest changed, trailer still valid: the file decodes, so
+  // only the replay's comparison can catch it, and it must name the section.
+  ckpt::Snapshot s = ckpt::decode_snapshot(read_file_bytes(newest.string()));
+  s.workload ^= 1;
+  atomic_write_file(newest.string(), ckpt::encode_snapshot(s));
+  try {
+    (void)run_trace(20.0, 11, ck, /*resume=*/true);
+    ADD_FAILURE() << "resume accepted a divergent snapshot";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("workload section"), std::string::npos)
+        << e.what();
+  }
+
+  // The same file as a version-1 snapshot with a valid trailer: decode
+  // refuses the old format, recovery skips it for the previous generation,
+  // and the resume still reproduces the run.
+  auto v1 = ckpt::encode_snapshot(s);
+  v1[4] = 1;
+  const std::size_t body = v1.size() - 8;
+  const std::uint64_t sum = ckpt::fnv1a(ckpt::kFnvOffset, std::span(v1.data(), body));
+  for (int i = 0; i < 8; ++i) v1[body + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+  ASSERT_THROW((void)ckpt::decode_snapshot(v1), Error);
+  atomic_write_file(newest.string(), v1);
+
+  ScenarioConfig cfg = scenarios::tiny(20.0, 11);
+  cfg.checkpoint.dir = ck;
+  cfg.checkpoint.interval_s = 5.0;
+  ClusterExperiment exp(cfg);
+  exp.resume(ck);
+  EXPECT_EQ(encode_trace(exp.trace()), reference);
+  ASSERT_NE(exp.checkpoint_manager(), nullptr);
+  EXPECT_GE(exp.checkpoint_manager()->counters().snapshots_skipped, 1u);
+  EXPECT_GE(exp.checkpoint_manager()->counters().snapshots_verified, 1u);
+}
+
+TEST_F(CkptTest, ResumeIgnoresSnapshotIdsPastU64) {
+  const std::string ck = (dir_ / "ck").string();
+  const auto reference = run_trace(20.0, 11, ck);
+  const fs::path stray = fs::path(ck) / "snapshot-99999999999999999999999.dsnp";
+  atomic_write_file(stray.string(), std::string_view("not a snapshot"));
+  EXPECT_EQ(run_trace(20.0, 11, ck, /*resume=*/true), reference);
 }
 
 TEST_F(CkptTest, ConfigValidation) {
