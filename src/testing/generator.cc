@@ -1,10 +1,13 @@
 #include "testing/generator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 #include <random>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -23,16 +26,37 @@ namespace {
 struct Knob {
   const char* key;
   double (*get)(const ScenarioConfig&);
-  void (*set)(ScenarioConfig&, double);
+  void (*set)(ScenarioConfig&, const char* text);
 };
+
+// Parses a repro value into its field's type, or throws dct::Error naming
+// the key.  A float-to-int cast of a non-finite or out-of-range double is
+// undefined behaviour, so integer knobs take whole numbers in range and
+// bools 0 or 1.
+template <typename T>
+T knob_value(const char* key, const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  bool fits = end != text && std::isfinite(v);
+  if constexpr (std::is_same_v<T, bool>) {
+    fits = fits && (v == 0.0 || v == 1.0);
+  } else if constexpr (std::is_integral_v<T>) {
+    fits = fits && v == std::trunc(v) &&
+           v >= static_cast<double>(std::numeric_limits<T>::min()) &&
+           v <= static_cast<double>(std::numeric_limits<T>::max());
+  }
+  require(fits, std::string("scenario_from_repro: knob ") + key +
+                    " is not a number its field can hold");
+  return static_cast<T>(v);
+}
 
 #define DCT_KNOB(key, field, type)                               \
   Knob {                                                         \
     key, [](const ScenarioConfig& c) -> double {                 \
       return static_cast<double>(c.field);                       \
     },                                                           \
-        [](ScenarioConfig& c, double v) {                        \
-          c.field = static_cast<type>(v);                        \
+        [](ScenarioConfig& c, const char* text) {                \
+          c.field = knob_value<type>(key, text);                 \
         }                                                        \
   }
 
@@ -256,6 +280,104 @@ ScenarioConfig generate_scenario(std::uint64_t seed, double max_duration) {
   return cfg;
 }
 
+ScenarioConfig storm_scenario(std::uint64_t seed, double duration) {
+  std::mt19937_64 gen(seed * 0x9E3779B97F4A7C15ull + 1);
+  auto uni = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(gen);
+  };
+  ScenarioConfig cfg = scenarios::tiny(duration, seed);
+  cfg.name = "proptest";
+  cfg.topology.redundant_tor_uplinks = true;
+  cfg.workload.jobs_per_second = uni(0.5, 1.5);
+
+  cfg.faults.link_flap_rate = uni(0.0, 4.0);
+  cfg.faults.link_flap_mean_duration = uni(5.0, 15.0);
+  cfg.faults.server_crash_rate = uni(0.0, 4.0);
+  cfg.faults.server_mean_repair = uni(20.0, 60.0);
+  cfg.faults.tor_crash_rate = uni(0.0, 1.0);
+  cfg.faults.tor_mean_repair = uni(10.0, 30.0);
+  cfg.faults.rack_power_rate = uni(0.0, 2.0);
+  cfg.faults.rack_power_mean_repair = uni(10.0, 40.0);
+  cfg.faults.domain_burst_jitter = uni(0.0, 3.0);
+
+  cfg.degradations.link_capacity_rate = uni(0.0, 20.0);
+  cfg.degradations.link_capacity_mean_duration = uni(5.0, 30.0);
+  cfg.degradations.link_flap_rate = uni(0.0, 10.0);
+  cfg.degradations.link_flap_mean_duration = uni(5.0, 20.0);
+  cfg.degradations.link_lossy_rate = uni(0.0, 20.0);
+  cfg.degradations.link_lossy_mean_duration = uni(5.0, 30.0);
+  cfg.degradations.straggler_rate = uni(0.0, 40.0);
+  cfg.degradations.straggler_mean_duration = uni(10.0, 40.0);
+  cfg.degradations.tor_domain_rate = uni(0.0, 6.0);
+  cfg.degradations.tor_domain_mean_duration = uni(5.0, 30.0);
+  cfg.degradations.vlan_domain_rate = uni(0.0, 3.0);
+  cfg.degradations.vlan_domain_mean_duration = uni(5.0, 30.0);
+  cfg.degradations.domain_burst_jitter = uni(0.0, 3.0);
+
+  if (uni(0.0, 1.0) < 0.75) {
+    cfg.cascades.util_threshold = uni(0.5, 0.95);
+    cfg.cascades.sustain_window = uni(1.0, 4.0);
+    cfg.cascades.check_interval = uni(0.5, 1.5);
+    cfg.cascades.trip_probability = uni(0.1, 0.9);
+    cfg.cascades.max_depth =
+        std::uniform_int_distribution<std::int32_t>(1, 4)(gen);
+    cfg.cascades.severity_floor = uni(0.1, 0.4);
+    cfg.cascades.severity_ceil = uni(0.5, 0.9);
+    cfg.cascades.mean_duration = uni(5.0, 20.0);
+    cfg.cascades.seed = seed;
+  }
+
+  cfg.workload.repair.paced = uni(0.0, 1.0) < 0.5;
+  if (cfg.workload.repair.paced) {
+    cfg.workload.repair.max_in_flight =
+        std::uniform_int_distribution<std::int32_t>(4, 64)(gen);
+    cfg.workload.repair.per_source_cap =
+        std::uniform_int_distribution<std::int32_t>(1, 3)(gen);
+    cfg.workload.repair.per_dest_cap =
+        std::uniform_int_distribution<std::int32_t>(1, 3)(gen);
+    cfg.workload.repair.tokens_per_second = uni(2.0, 40.0);
+    cfg.workload.repair.token_burst = uni(4.0, 64.0);
+    cfg.workload.repair.pacer_interval = uni(0.2, 1.0);
+    cfg.workload.repair.congestion_util_threshold = uni(0.5, 0.99);
+    cfg.workload.repair.max_attempts =
+        std::uniform_int_distribution<std::int32_t>(1, 6)(gen);
+  }
+
+  cfg.workload.speculative_execution = uni(0.0, 1.0) < 0.75;
+  cfg.workload.hedged_reads = uni(0.0, 1.0) < 0.75;
+  if (cfg.workload.hedged_reads) {
+    cfg.workload.hedge_quantile = uni(0.80, 0.99);
+    cfg.workload.hedge_min_timeout = uni(0.5, 3.0);
+  }
+  if (cfg.workload.speculative_execution) {
+    cfg.workload.spec_slowdown_threshold = uni(1.5, 4.0);
+    cfg.workload.spec_check_interval = uni(1.0, 4.0);
+  }
+  cfg.workload.read_retry_jitter = uni(0.0, 0.9);
+
+  // A lossy measurement plane most rounds, a perfect one sometimes — the
+  // perfect rounds exercise the gating contract (observed trace IS the
+  // collected trace).
+  if (uni(0.0, 1.0) < 0.7) {
+    cfg.telemetry.crash_buffer_window = uni(0.0, 20.0);
+    cfg.telemetry.upload_loss_prob = uni(0.0, 0.3);
+    cfg.telemetry.upload_truncate_prob = uni(0.0, 0.3);
+    cfg.telemetry.upload_interval = uni(0.0, 1.0) < 0.5 ? uni(4.0, 15.0) : 0.0;
+    cfg.telemetry.straggler_truncate_prob = uni(0.0, 1.0);
+    cfg.telemetry.duplicate_prob = uni(0.0, 0.3);
+    cfg.telemetry.snmp_timeout_prob = uni(0.0, 0.2);
+    cfg.telemetry.snmp_poll_interval = uni(5.0, 15.0);
+    cfg.telemetry.counter_reset_on_reboot = uni(0.0, 1.0) < 0.5;
+    cfg.telemetry.snmp_counter_width = uni(0.0, 1.0) < 0.5 ? 32 : 0;
+    cfg.telemetry.seed = seed ^ 0x7E1E7E1Eull;
+  }
+
+  // Shard-parallel analysis engine: any thread count must produce the same
+  // bytes (invariant 8), so the knob is free to vary per round.
+  cfg.parallelism = std::uniform_int_distribution<std::int32_t>(1, 8)(gen);
+  return cfg;
+}
+
 ScenarioConfig ScenarioGenerator::next() {
   std::uint64_t chosen = next_seed_;
   ScenarioConfig chosen_cfg = generate_scenario(chosen, max_duration_);
@@ -410,7 +532,7 @@ ScenarioConfig scenario_from_repro(const std::string& json) {
   for (const auto& knob : knob_table()) {
     const auto off = value_offset(json, knob.key);
     if (off == std::string::npos) continue;
-    knob.set(cfg, std::strtod(json.c_str() + off, nullptr));
+    knob.set(cfg, json.c_str() + off);
   }
   cfg.cascades.seed = u64_at("cascades_seed", false, cfg.cascades.seed);
   cfg.telemetry.seed = u64_at("telemetry_seed", false, cfg.telemetry.seed);

@@ -1,14 +1,15 @@
 // Coverage-guided scenario generation, greedy shrinking, and replayable
 // repro files for the property-based testing harness (tools/proptest).
 //
-// Generation is a pure function of the seed: generate_scenario(seed) draws
-// every knob the chaos/fault/telemetry subsystems expose from one seeded
-// stream, so a failing round is reproducible from its seed alone.  The
-// ScenarioGenerator wrapper adds coverage guidance on top: each candidate
-// scenario is fingerprinted by which optional subsystems it enables
-// (feature_mask), and next() skips ahead to seeds whose combination has not
-// been tried yet, so a short fuzzing budget still visits the interesting
-// corners of the feature lattice instead of resampling the same mixture.
+// Generation is a pure function of the seed: generate_scenario(seed) and
+// the fault-heavy storm_scenario(seed) draw every knob the fault/telemetry
+// subsystems expose from one seeded stream, so a failing round is
+// reproducible from its seed alone.  The ScenarioGenerator wrapper adds
+// coverage guidance on top: each candidate scenario is fingerprinted by
+// which optional subsystems it enables (feature_mask), and next() skips
+// ahead to seeds whose combination has not been tried yet, so a short
+// fuzzing budget still visits the interesting corners of the feature
+// lattice instead of resampling the same mixture.
 //
 // On failure, shrink_scenario greedily minimizes the scenario — shorter
 // horizon, fewer servers, whole feature groups dropped — while the caller's
@@ -49,6 +50,12 @@ enum ScenarioFeature : std::uint32_t {
 /// own coin so feature combinations vary.
 [[nodiscard]] ScenarioConfig generate_scenario(std::uint64_t seed,
                                                double max_duration = 30.0);
+
+/// Draws a storm scenario from `seed` (pure function): the scenarios::tiny
+/// cluster on a fixed `duration` horizon under fail-stop faults and gray
+/// degradations that are always on, at higher rates than generate_scenario
+/// draws, with the degraded-mode mitigations usually (not always) on.
+[[nodiscard]] ScenarioConfig storm_scenario(std::uint64_t seed, double duration);
 
 /// Streams scenarios with coverage guidance over feature_mask.
 class ScenarioGenerator {
@@ -96,7 +103,7 @@ struct ShrinkResult {
                                      const std::string& violated);
 
 /// Inverse of repro_json: rebuilds the scenario from a repro file's text.
-/// Throws dct::Error on missing schema/seed.
+/// Throws dct::Error on a missing schema/seed or an unrepresentable knob.
 [[nodiscard]] ScenarioConfig scenario_from_repro(const std::string& json);
 
 /// The invariant name recorded in a repro file ("" if absent).

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/require.h"
 #include "core/experiment.h"
@@ -107,6 +109,23 @@ TEST(ScenarioGenerator, CoverageGuidancePrefersUnseenMasks) {
   EXPECT_GE(gen.masks_seen(), unguided.size());
 }
 
+TEST(StormScenario, IsPureInSeedAndAlwaysInjectsFaultsAndDegradations) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    const ScenarioConfig cfg = testing::storm_scenario(seed, 30.0);
+    EXPECT_EQ(testing::repro_json(cfg, ""),
+              testing::repro_json(testing::storm_scenario(seed, 30.0), ""));
+    EXPECT_EQ(cfg.name, "proptest");
+    EXPECT_EQ(cfg.seed, seed);
+    EXPECT_EQ(cfg.sim.end_time, 30.0);
+    const std::uint32_t mask = testing::feature_mask(cfg);
+    EXPECT_EQ(mask & (testing::kFeatFaults | testing::kFeatDegradations),
+              testing::kFeatFaults | testing::kFeatDegradations)
+        << "seed " << seed;
+  }
+  EXPECT_NE(testing::repro_json(testing::storm_scenario(1, 30.0), ""),
+            testing::repro_json(testing::storm_scenario(2, 30.0), ""));
+}
+
 TEST(ShrinkScenario, MinimizesWhilePredicateHolds) {
   // Synthetic predicate: "fails whenever cascades are enabled".  The
   // shrinker must drop everything else and keep cascades.
@@ -140,8 +159,12 @@ TEST(ShrinkScenario, RespectsEvalBudget) {
 }
 
 TEST(ReproJson, RoundTripsEveryKnobExactly) {
+  std::vector<ScenarioConfig> configs;
   for (std::uint64_t seed : {1ull, 17ull, 0xDEADBEEFull}) {
-    const ScenarioConfig cfg = testing::generate_scenario(seed, 30.0);
+    configs.push_back(testing::generate_scenario(seed, 30.0));
+    configs.push_back(testing::storm_scenario(seed, 30.0));
+  }
+  for (const ScenarioConfig& cfg : configs) {
     const std::string json = testing::repro_json(cfg, "some.invariant");
     const ScenarioConfig back = testing::scenario_from_repro(json);
     // Serializing the rebuilt scenario must reproduce the file verbatim —
@@ -157,6 +180,51 @@ TEST(ReproJson, RoundTripsEveryKnobExactly) {
 TEST(ReproJson, RejectsUnknownSchema) {
   EXPECT_THROW(testing::scenario_from_repro("{\"schema\": \"bogus\"}"), Error);
   EXPECT_THROW(testing::scenario_from_repro(""), Error);
+}
+
+// The repro text with the value of `key` replaced by `value`.
+std::string with_knob(const std::string& json, const std::string& key,
+                      const std::string& value) {
+  const std::string needle = "\"" + key + "\": ";
+  const auto begin = json.find(needle) + needle.size();
+  const auto end = json.find_first_of(",\n", begin);
+  return json.substr(0, begin) + value + json.substr(end);
+}
+
+TEST(ReproJson, RejectsValuesTheirFieldCannotHold) {
+  const std::string json =
+      testing::repro_json(testing::generate_scenario(5, 30.0), "");
+  const std::pair<const char*, const char*> bad[] = {
+      {"topology.racks", "1e12"},
+      {"topology.racks", "nan"},
+      {"topology.racks", "-inf"},
+      {"topology.racks", "2.5"},
+      {"topology.racks", "-2147483649"},
+      {"topology.redundant_tor_uplinks", "2"},
+      {"topology.redundant_tor_uplinks", "0.5"},
+      {"telemetry.snmp_counter_width", "1e300"},
+      {"sim.end_time", "inf"},
+      {"workload.jobs_per_second", "nan"},
+      {"workload.jobs_per_second", "fast"},
+  };
+  for (const auto& [key, value] : bad) {
+    try {
+      (void)testing::scenario_from_repro(with_knob(json, key, value));
+      ADD_FAILURE() << key << " = " << value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+  // Large values are accepted as long as the field can hold them; whether
+  // they make a sensible scenario is ScenarioConfig validation's call.
+  const ScenarioConfig big = testing::scenario_from_repro(with_knob(
+      with_knob(json, "topology.racks", "2147483647"), "sim.end_time", "1e300"));
+  EXPECT_EQ(big.topology.racks, 2147483647);
+  EXPECT_EQ(big.sim.end_time, 1e300);
+  EXPECT_EQ(testing::scenario_from_repro(
+                with_knob(json, "topology.racks", "-2147483648"))
+                .topology.racks,
+            -2147483647 - 1);
 }
 
 TEST(ReproJson, ReplayedScenarioRunsIdentically) {

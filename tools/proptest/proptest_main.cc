@@ -1,10 +1,10 @@
 // Property-based differential-testing harness (docs/TESTING.md).
 //
-// Each round draws a coverage-guided random scenario, runs it through the
-// paired planes and checks every registry invariant plus the differential
-// oracles.  On the first violation the scenario is greedily shrunk while it
-// still fails, then written out as a replayable repro JSON and a
-// ready-to-commit GTest regression stub:
+// Each round draws a coverage-guided random scenario and a fault-heavy storm,
+// runs each through the paired planes and checks every registry invariant
+// plus the differential oracles.  On the first violation the scenario is
+// greedily shrunk while it still fails, then written out as a replayable
+// repro JSON and a ready-to-commit GTest regression stub:
 //
 //   tools/proptest --rounds 50 --seed 1            # fuzz
 //   tools/proptest --replay repro_<seed>.json      # deterministic re-run
@@ -13,14 +13,17 @@
 //                                                  # must be caught + shrunk
 //   tools/proptest --list                          # catalogue invariants
 //
-// Exit codes: 0 all rounds clean, 1 violation found (repro written),
-// 2 usage error.
+// Exit codes: 0 all rounds clean, 1 violation found (repro written) or an
+// evaluation overran the 120 s watchdog, 2 usage error.
+#include <unistd.h>
+
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 
 #include "common/fsio.h"
@@ -51,9 +54,9 @@ void usage() {
       << "usage: proptest [--rounds N] [--seed S] [--max-duration SEC]\n"
       << "                [--out DIR] [--checkpoint-every K] [--inject-bug]\n"
       << "                [--replay FILE] [--list]\n"
-      << "  --rounds N            random scenarios to run (default 50)\n"
-      << "  --seed S              base seed for the generator (default 1)\n"
-      << "  --max-duration SEC    cap on generated sim horizons (default 30)\n"
+      << "  --rounds N            rounds of a generated + a storm scenario (default 50)\n"
+      << "  --seed S              base seed for both streams (default 1)\n"
+      << "  --max-duration SEC    generated horizon cap, storm horizon (default 30)\n"
       << "  --out DIR             where repros/stubs land (default proptest_out)\n"
       << "  --checkpoint-every K  run the checkpoint oracle every K rounds\n"
       << "  --inject-bug          tamper each run's trace with a flow that\n"
@@ -66,44 +69,28 @@ void usage() {
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "proptest: " << arg << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--rounds") {
-      const char* v = next();
-      if (!v) return false;
-      opt.rounds = std::atoi(v);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      opt.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--max-duration") {
-      const char* v = next();
-      if (!v) return false;
-      opt.max_duration = std::atof(v);
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return false;
-      opt.out = v;
-    } else if (arg == "--checkpoint-every") {
-      const char* v = next();
-      if (!v) return false;
-      opt.checkpoint_every = std::atoi(v);
-    } else if (arg == "--inject-bug") {
+    if (arg == "--inject-bug") {
       opt.inject_bug = true;
-    } else if (arg == "--replay") {
-      const char* v = next();
-      if (!v) return false;
-      opt.replay = v;
     } else if (arg == "--list") {
       opt.list = true;
     } else if (arg == "--help" || arg == "-h") {
       usage();
       std::exit(0);
+    } else if (i + 1 >= argc) {
+      std::cerr << "proptest: " << arg << " is unknown or needs a value\n";
+      return false;
+    } else if (arg == "--rounds") {
+      opt.rounds = std::atoi(argv[++i]);
+    } else if (arg == "--seed") {
+      opt.seed = std::strtoull(argv[++i], nullptr, 10);
+    } else if (arg == "--max-duration") {
+      opt.max_duration = std::atof(argv[++i]);
+    } else if (arg == "--out") {
+      opt.out = argv[++i];
+    } else if (arg == "--checkpoint-every") {
+      opt.checkpoint_every = std::atoi(argv[++i]);
+    } else if (arg == "--replay") {
+      opt.replay = argv[++i];
     } else {
       std::cerr << "proptest: unknown argument " << arg << "\n";
       return false;
@@ -147,19 +134,53 @@ ClusterTrace tampered_copy(const ClusterTrace& real) {
   return copy;
 }
 
+// A hang is a bug report, not a CI stall: alarm(2) bounds every evaluation,
+// and the SIGALRM handler writes a message formatted before the alarm was
+// armed (write and _exit are async-signal-safe), then exits 1.
+constexpr unsigned kEvalTimeoutS = 120;
+std::string g_watchdog_message;
+
+extern "C" void on_watchdog(int /*signal*/) {
+  (void)!write(STDERR_FILENO, g_watchdog_message.data(), g_watchdog_message.size());
+  _exit(1);
+}
+
+struct Watchdog {
+  Watchdog(std::uint64_t seed, const std::string& replay) {
+    g_watchdog_message = "proptest: WATCHDOG: scenario seed " + std::to_string(seed) +
+                         " exceeded " + std::to_string(kEvalTimeoutS) +
+                         " s wall clock\nproptest: replay: " + replay + "\n";
+    alarm(kEvalTimeoutS);
+  }
+  ~Watchdog() { alarm(0); }
+};
+
 struct EvalOptions {
   bool inject_bug = false;
   bool with_checkpoint = false;
   bool with_incast = false;
   std::string workdir;
   int parallel_threads = 3;
+  std::string replay;  ///< the command the watchdog prints
+};
+
+// Fault traffic injected over a sweep's evaluations.
+struct Traffic {
+  std::size_t faults = 0, degradations = 0, cascade_trips = 0;
 };
 
 testing::InvariantReport evaluate_scenario(const ScenarioConfig& cfg,
-                                           const EvalOptions& eo) {
+                                           const EvalOptions& eo,
+                                           Traffic* traffic = nullptr) {
+  const Watchdog watchdog(cfg.seed, eo.replay);
   testing::InvariantReport report;
   ClusterExperiment a(cfg);
   a.run();
+  if (const FaultInjector* fi = a.fault_injector(); fi != nullptr && traffic != nullptr) {
+    traffic->faults += fi->injected();
+    traffic->degradations += fi->degradations_injected();
+    traffic->cascade_trips += fi->cascade_trips();
+  }
   {
     ClusterExperiment b(cfg);
     b.run();
@@ -184,17 +205,19 @@ testing::InvariantReport evaluate_scenario(const ScenarioConfig& cfg,
 }
 
 // Shrinks, writes repro + regression stub, prints the replay command.
+// `fuzz_replay` re-runs the sweep up to the failing round.
 void emit_repro(const ScenarioConfig& failing,
-                const testing::InvariantReport& report, const Options& opt) {
+                const testing::InvariantReport& report, const Options& opt,
+                const std::string& fuzz_replay) {
   const std::string violated = report.violations.front().invariant;
-  std::cout << "shrinking (target: " << violated << ") ...\n";
+  std::cout << "shrinking (target: " << violated << ") ..." << std::endl;
   // The predicate re-runs the cheap per-round pipeline and asks whether the
   // same invariant (by exact name) still fires.  The checkpoint oracle is
   // re-included only when it is the thing that failed.
-  EvalOptions eo;
-  eo.inject_bug = opt.inject_bug;
-  eo.with_checkpoint = violated.rfind("oracle.checkpoint", 0) == 0;
-  eo.workdir = (fs::path(opt.out) / "shrink_ckpt").string();
+  const EvalOptions eo{.inject_bug = opt.inject_bug,
+                       .with_checkpoint = violated.rfind("oracle.checkpoint", 0) == 0,
+                       .workdir = (fs::path(opt.out) / "shrink_ckpt").string(),
+                       .replay = fuzz_replay};
   const auto still_fails = [&](const ScenarioConfig& c) {
     try {
       return evaluate_scenario(c, eo).violated(violated);
@@ -234,11 +257,13 @@ int replay(const Options& opt) {
   const std::string violated = testing::repro_violated(json);
   std::cout << "replaying " << opt.replay << " (seed " << cfg.seed
             << (violated.empty() ? "" : ", recorded violation: " + violated)
-            << ")\n";
-  EvalOptions eo;
-  eo.inject_bug = opt.inject_bug;
-  eo.with_checkpoint = violated.rfind("oracle.checkpoint", 0) == 0;
-  eo.workdir = (fs::path(opt.out) / "replay_ckpt").string();
+            << ")" << std::endl;
+  const EvalOptions eo{
+      .inject_bug = opt.inject_bug,
+      .with_checkpoint = violated.rfind("oracle.checkpoint", 0) == 0,
+      .workdir = (fs::path(opt.out) / "replay_ckpt").string(),
+      .replay = "tools/proptest --replay " + opt.replay +
+                (opt.inject_bug ? " --inject-bug" : "")};
   const auto report = evaluate_scenario(cfg, eo);
   std::cout << report.summary();
   if (!report.ok()) {
@@ -251,33 +276,50 @@ int replay(const Options& opt) {
 
 int fuzz(const Options& opt) {
   testing::ScenarioGenerator gen(opt.seed, opt.max_duration);
+  Traffic traffic;
   for (int round = 0; round < opt.rounds; ++round) {
-    const ScenarioConfig cfg = gen.next();
-    EvalOptions eo;
-    eo.inject_bug = opt.inject_bug;
-    eo.with_checkpoint = (round % opt.checkpoint_every) == opt.checkpoint_every - 1;
-    eo.with_incast = round == 0;
-    eo.workdir =
-        (fs::path(opt.out) / ("ckpt_round_" + std::to_string(round))).string();
-    eo.parallel_threads = 2 + static_cast<int>(cfg.seed % 7);
-    std::cout << "round " << round + 1 << "/" << opt.rounds << " seed "
-              << cfg.seed << " mask 0x" << std::hex << testing::feature_mask(cfg)
-              << std::dec << " dur " << cfg.sim.end_time << "s"
-              << (eo.with_checkpoint ? " +ckpt" : "")
-              << (eo.with_incast ? " +incast" : "") << "\n";
-    testing::InvariantReport report;
-    try {
-      report = evaluate_scenario(cfg, eo);
-    } catch (const std::exception& e) {
-      report.fail("harness.exception", e.what());
-    }
-    if (!report.ok()) {
-      emit_repro(cfg, report, opt);
-      return 1;
+    std::ostringstream replay;
+    replay << "tools/proptest --rounds " << round + 1 << " --seed " << opt.seed
+           << " --max-duration " << opt.max_duration << " --checkpoint-every "
+           << opt.checkpoint_every << (opt.inject_bug ? " --inject-bug" : "");
+    for (const bool is_storm : {false, true}) {
+      // One gen.next() per round: the generated stream does not see the storms.
+      const ScenarioConfig cfg =
+          is_storm ? testing::storm_scenario(opt.seed + static_cast<std::uint64_t>(round),
+                                             opt.max_duration)
+                   : gen.next();
+      const EvalOptions eo{
+          .inject_bug = opt.inject_bug,
+          .with_checkpoint = (round % opt.checkpoint_every) == opt.checkpoint_every - 1,
+          .with_incast = round == 0 && !is_storm,
+          .workdir = (fs::path(opt.out) / ("ckpt_round_" + std::to_string(round) +
+                                           (is_storm ? "_storm" : "")))
+                         .string(),
+          .parallel_threads = 2 + static_cast<int>(cfg.seed % 7),
+          .replay = replay.str()};
+      // Flushed before the evaluation, so a process killed mid-round (a
+      // sanitizer abort, the watchdog, a CI timeout) still names its seed.
+      std::cout << "round " << round + 1 << "/" << opt.rounds
+                << (is_storm ? " storm" : "") << " seed " << cfg.seed << " mask 0x"
+                << std::hex << testing::feature_mask(cfg) << std::dec << " dur "
+                << cfg.sim.end_time << "s" << (eo.with_checkpoint ? " +ckpt" : "")
+                << (eo.with_incast ? " +incast" : "") << std::endl;
+      testing::InvariantReport report;
+      try {
+        report = evaluate_scenario(cfg, eo, &traffic);
+      } catch (const std::exception& e) {
+        report.fail("harness.exception", e.what());
+      }
+      if (!report.ok()) {
+        emit_repro(cfg, report, opt, eo.replay);
+        return 1;
+      }
     }
   }
   std::cout << "proptest: " << opt.rounds << " rounds clean ("
-            << gen.masks_seen() << " distinct feature masks)\n";
+            << gen.masks_seen() << " distinct generated feature masks; injected "
+            << traffic.faults << " faults, " << traffic.degradations
+            << " degradations, " << traffic.cascade_trips << " cascade trips)\n";
   return 0;
 }
 
@@ -294,6 +336,7 @@ int main(int argc, char** argv) {
     dct::list_catalogue();
     return 0;
   }
+  std::signal(SIGALRM, dct::on_watchdog);
   try {
     if (!opt.replay.empty()) return dct::replay(opt);
     return dct::fuzz(opt);
