@@ -70,45 +70,79 @@ dct::DenseTorTm random_tor_tm(std::int32_t n, dct::Rng& rng) {
   return tm;
 }
 
-void BM_Tomogravity(benchmark::State& state) {
+// The ToR tree of the tomography benches: range(0) racks under range(1)
+// aggregation switches.  (25, 2) is canonical's shape, (75, 6) paper_scale's.
+dct::Topology tomo_topology(const benchmark::State& state) {
   dct::TopologyConfig tcfg;
   tcfg.racks = static_cast<std::int32_t>(state.range(0));
   tcfg.servers_per_rack = 20;
   tcfg.racks_per_vlan = 5;
-  tcfg.agg_switches = 2;
+  tcfg.agg_switches = static_cast<std::int32_t>(state.range(1));
   tcfg.external_servers = 0;
-  dct::Topology topo(tcfg);
+  return dct::Topology(tcfg);
+}
+
+void BM_Tomogravity(benchmark::State& state) {
+  const dct::Topology topo = tomo_topology(state);
   dct::RoutingMatrix routing(topo);
   dct::Rng rng(5);
-  const auto truth = random_tor_tm(tcfg.racks, rng);
+  const auto truth = random_tor_tm(routing.tor_count(), rng);
   const auto loads = routing.link_loads(truth);
   for (auto _ : state) {
     const auto est = dct::tomogravity(routing, loads);
     benchmark::DoNotOptimize(est.total());
   }
-  state.counters["racks"] = static_cast<double>(tcfg.racks);
+  state.counters["racks"] = static_cast<double>(routing.tor_count());
 }
-BENCHMARK(BM_Tomogravity)->Arg(25)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Tomogravity)
+    ->Args({25, 2})
+    ->Args({50, 2})
+    ->Args({100, 2})
+    ->Args({75, 6})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_JobAugmentedPrior(benchmark::State& state) {
+  // 3 jobs per rack, each spread over 1-8 racks with 1-20 servers in each,
+  // the sparse activity job_tor_activity recovers from a trace.
+  const dct::Topology topo = tomo_topology(state);
+  dct::RoutingMatrix routing(topo);
+  dct::Rng rng(11);
+  const auto truth = random_tor_tm(routing.tor_count(), rng);
+  const auto loads = routing.link_loads(truth);
+  std::vector<std::vector<double>> activity(
+      static_cast<std::size_t>(3 * routing.tor_count()),
+      std::vector<double>(static_cast<std::size_t>(routing.tor_count()), 0.0));
+  for (auto& job : activity) {
+    for (std::int64_t k = rng.uniform_int(1, 8); k > 0; --k) {
+      job[static_cast<std::size_t>(rng.uniform_int(0, routing.tor_count() - 1))] +=
+          static_cast<double>(rng.uniform_int(1, 20));
+    }
+  }
+  for (auto _ : state) {
+    const auto prior = dct::job_augmented_prior(routing, loads, activity);
+    benchmark::DoNotOptimize(prior.total());
+  }
+  state.counters["jobs"] = static_cast<double>(activity.size());
+}
+BENCHMARK(BM_JobAugmentedPrior)->Args({25, 2})->Args({75, 6})->Unit(benchmark::kMillisecond);
 
 void BM_SparsityMax(benchmark::State& state) {
-  dct::TopologyConfig tcfg;
-  tcfg.racks = static_cast<std::int32_t>(state.range(0));
-  tcfg.servers_per_rack = 20;
-  tcfg.racks_per_vlan = 5;
-  tcfg.agg_switches = 2;
-  tcfg.external_servers = 0;
-  dct::Topology topo(tcfg);
+  const dct::Topology topo = tomo_topology(state);
   dct::RoutingMatrix routing(topo);
   dct::Rng rng(9);
-  const auto truth = random_tor_tm(tcfg.racks, rng);
+  const auto truth = random_tor_tm(routing.tor_count(), rng);
   const auto loads = routing.link_loads(truth);
   for (auto _ : state) {
     const auto est = dct::sparsity_max(routing, loads);
     benchmark::DoNotOptimize(est.total());
   }
-  state.counters["racks"] = static_cast<double>(tcfg.racks);
+  state.counters["racks"] = static_cast<double>(routing.tor_count());
 }
-BENCHMARK(BM_SparsityMax)->Arg(25)->Arg(50)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SparsityMax)
+    ->Args({25, 2})
+    ->Args({50, 2})
+    ->Args({75, 6})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

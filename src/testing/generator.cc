@@ -1,6 +1,8 @@
 #include "testing/generator.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
@@ -154,6 +156,24 @@ const std::vector<Knob>& knob_table() {
 }
 
 #undef DCT_KNOB
+
+// Parses a repro seed as a whole decimal u64, or throws dct::Error naming
+// the key.  Bare strtoull would read "abc" as 0 and "-1" as 2^64 - 1, and
+// a double cannot hold every u64, so the digits are read directly and
+// must run up to the value's end.
+std::uint64_t seed_value(const std::string& key, const char* text) {
+  while (std::isspace(static_cast<unsigned char>(*text))) ++text;
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t v =
+      std::isdigit(static_cast<unsigned char>(*text)) ? std::strtoull(text, &end, 10) : 0;
+  const bool whole = end != nullptr && errno != ERANGE &&
+                     (*end == '\0' || *end == ',' || *end == '}' ||
+                      std::isspace(static_cast<unsigned char>(*end)));
+  require(whole, "scenario_from_repro: seed key " + key +
+                     " is not a whole decimal u64");
+  return v;
+}
 
 // Finds `"key": ` in `json` and returns the character offset of the value,
 // or npos.  Keys are quote-delimited, so "seed" never matches inside
@@ -524,7 +544,7 @@ ScenarioConfig scenario_from_repro(const std::string& json) {
       require(!required_key, "scenario_from_repro: missing key " + key);
       return fallback;
     }
-    return std::strtoull(json.c_str() + off, nullptr, 10);
+    return seed_value(key, json.c_str() + off);
   };
   const std::uint64_t seed = u64_at("seed", true, 0);
   ScenarioConfig cfg = scenarios::tiny(30.0, seed);

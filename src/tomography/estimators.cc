@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <unordered_set>
 
 #include "common/require.h"
@@ -22,56 +23,67 @@ std::int32_t tor_down_idx(const RoutingMatrix& r, std::int32_t i) {
   return r.path(j, i).back();
 }
 
-// v = A W A^T u  for W = diag(w) over OD pairs.  A non-null `mask` drops
-// the masked measurement rows from the operator (their output components
-// are pinned to zero, so lambda never grows support there).
-std::vector<double> normal_matvec(const RoutingMatrix& r, const std::vector<double>& w,
-                                  const std::vector<double>& u,
-                                  const LinkLoadMask* mask = nullptr) {
-  std::vector<double> y = r.adjoint(u);  // OD-space
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] *= w[i];
-  const std::int32_t n = r.tor_count();
-  std::vector<double> v(u.size(), 0.0);
-  for (std::int32_t i = 0; i < n; ++i) {
-    for (std::int32_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const double x = y[static_cast<std::size_t>(i) * n + j];
-      if (x == 0) continue;
-      for (std::int32_t l : r.path(i, j)) v[static_cast<std::size_t>(l)] += x;
-    }
+// v = A W A^T u  for W = diag(w) over OD pairs, in one pass over the
+// padded path table: per pair, gather u over the row's hops, weight, and
+// scatter back.  `u` and `v` have link_count() + 1 entries; u's last (the
+// sentinel's) must be +0 and v's last is discarded.  This is bit for bit
+// A (W (A^T u)): each pair's sum still runs over its hops in path order
+// from +0, whose trailing +0 terms change nothing, and each v[l] still
+// receives its terms in (i, j) order.  A non-null `mask` drops the masked
+// measurement rows from the operator (their output components are pinned
+// to zero, so lambda never grows support there).
+void normal_matvec(const RoutingMatrix& r, const std::vector<double>& w,
+                   const std::vector<double>& u, std::vector<double>& v,
+                   const LinkLoadMask* mask) {
+  constexpr std::size_t kWidth = RoutingMatrix::kPathWidth;
+  const std::int32_t* table = r.path_table().data();
+  std::fill(v.begin(), v.end(), 0.0);
+  for (std::size_t k = 0; k < w.size(); ++k) {
+    const std::int32_t* hop = table + k * kWidth;
+    double acc = 0;
+#pragma GCC unroll 4
+    for (std::size_t h = 0; h < kWidth; ++h) acc += u[static_cast<std::size_t>(hop[h])];
+    const double x = acc * w[k];
+    if (x == 0) continue;
+#pragma GCC unroll 4
+    for (std::size_t h = 0; h < kWidth; ++h) v[static_cast<std::size_t>(hop[h])] += x;
   }
   if (mask != nullptr) {
-    for (std::size_t l = 0; l < v.size(); ++l) {
+    for (std::size_t l = 0; l < mask->size(); ++l) {
       if ((*mask)[l] == 0) v[l] = 0.0;
     }
   }
-  return v;
 }
 
 // Conjugate gradients for (A W A^T) lambda = rhs.  The operator is
 // symmetric positive semidefinite and rhs lies in its range, so CG
 // converges to a least-norm-ish solution; we stop on relative residual.
 // With a mask, rhs must already be zero on masked rows; the iteration then
-// stays inside the valid subspace.
+// stays inside the valid subspace.  The search direction and its image
+// carry the operator's sentinel slot past the link_count() entries the
+// iteration reads; nothing is allocated per iteration.
 std::vector<double> solve_normal(const RoutingMatrix& r, const std::vector<double>& w,
                                  const std::vector<double>& rhs,
                                  const TomogravityOptions& opts,
                                  const LinkLoadMask* mask = nullptr) {
-  std::vector<double> lambda(rhs.size(), 0.0);
+  const std::size_t links = rhs.size();
+  std::vector<double> lambda(links, 0.0);
   std::vector<double> resid = rhs;
-  std::vector<double> p = resid;
+  std::vector<double> p(links + 1, 0.0);
+  std::vector<double> ap(links + 1);
+  std::copy(resid.begin(), resid.end(), p.begin());
   double rr = 0;
   for (double v : resid) rr += v * v;
   const double rr0 = rr;
   if (rr0 == 0) return lambda;
 
   for (std::int32_t it = 0; it < opts.cg_iterations; ++it) {
-    const std::vector<double> ap = normal_matvec(r, w, p, mask);
+    normal_matvec(r, w, p, ap, mask);
     double pap = 0;
-    for (std::size_t i = 0; i < p.size(); ++i) pap += p[i] * ap[i];
+    for (std::size_t i = 0; i < links; ++i) pap += p[i] * ap[i];
     if (pap <= 0) break;  // hit the operator's null space
     const double alpha = rr / pap;
-    for (std::size_t i = 0; i < lambda.size(); ++i) {
+    for (std::size_t i = 0; i < links; ++i) {
       lambda[i] += alpha * p[i];
       resid[i] -= alpha * ap[i];
     }
@@ -79,7 +91,7 @@ std::vector<double> solve_normal(const RoutingMatrix& r, const std::vector<doubl
     for (double v : resid) rr_new += v * v;
     if (rr_new <= opts.cg_tolerance * rr0) break;
     const double beta = rr_new / rr;
-    for (std::size_t i = 0; i < p.size(); ++i) p[i] = resid[i] + beta * p[i];
+    for (std::size_t i = 0; i < links; ++i) p[i] = resid[i] + beta * p[i];
     rr = rr_new;
   }
   return lambda;
@@ -96,38 +108,58 @@ DenseTorTm gravity_from_marginals(std::int32_t n, const std::vector<double>& out
   for (double v : out) total += v;
   DenseTorTm g(n);
   if (total <= 0) return g;
-  for (std::int32_t i = 0; i < n; ++i) {
-    for (std::int32_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      g.set(i, j, out[static_cast<std::size_t>(i)] * in[static_cast<std::size_t>(j)] /
-                      total);
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<double> v(un * un, 0.0);  // row-major; the diagonal stays +0
+  for (std::size_t i = 0; i < un; ++i) {
+    for (std::size_t j = 0; j < un; ++j) {
+      if (i != j) v[i * un + j] = out[i] * in[j] / total;
     }
   }
   // With a zero diagonal the raw product no longer reproduces the measured
   // marginals; a few rounds of iterative proportional fitting restore
   //   sum_j g_ij = out_i  and  sum_i g_ij = in_j.
-  for (int round = 0; round < 25; ++round) {
-    for (std::int32_t i = 0; i < n; ++i) {
-      double row = 0;
-      for (std::int32_t j = 0; j < n; ++j) {
-        if (i != j) row += g.at(i, j);
-      }
-      if (row <= 0) continue;
-      const double scale = out[static_cast<std::size_t>(i)] / row;
-      for (std::int32_t j = 0; j < n; ++j) {
-        if (i != j) g.set(i, j, g.at(i, j) * scale);
-      }
+  // A round is two row-major sweeps: scale the rows while summing the
+  // columns, then scale the columns; the next round's row sums follow as
+  // one strided sweep.  All row (column) sums thus run as independent
+  // chains, and each still takes its terms in ascending order.  A sum
+  // includes the diagonal's +0, which cannot change a sum that starts at
+  // +0; a skipped column scales by exactly 1; the diagonal is re-zeroed
+  // after each scaling.  So every entry is bit for bit the
+  // off-diagonal-only, one-row-then-one-column-at-a-time fit.
+  std::vector<double> row_sum(un, 0.0);
+  std::vector<double> col_scale(un);
+  const auto sum_rows = [&] {
+    std::fill(row_sum.begin(), row_sum.end(), 0.0);
+    for (std::size_t j = 0; j < un; ++j) {
+      for (std::size_t i = 0; i < un; ++i) row_sum[i] += v[i * un + j];
     }
+  };
+  constexpr int kRounds = 25;
+  sum_rows();
+  for (int round = 0; round < kRounds; ++round) {
+    std::fill(col_scale.begin(), col_scale.end(), 0.0);
+    for (std::size_t i = 0; i < un; ++i) {
+      double* row = &v[i * un];
+      if (row_sum[i] > 0) {
+        const double scale = out[i] / row_sum[i];
+        for (std::size_t j = 0; j < un; ++j) row[j] *= scale;
+        row[i] = 0.0;
+      }
+      for (std::size_t j = 0; j < un; ++j) col_scale[j] += row[j];
+    }
+    for (std::size_t j = 0; j < un; ++j) {
+      col_scale[j] = col_scale[j] <= 0 ? 1.0 : in[j] / col_scale[j];
+    }
+    for (std::size_t i = 0; i < un; ++i) {
+      double* row = &v[i * un];
+      for (std::size_t j = 0; j < un; ++j) row[j] *= col_scale[j];
+      row[i] = 0.0;
+    }
+    if (round + 1 < kRounds) sum_rows();
+  }
+  for (std::int32_t i = 0; i < n; ++i) {
     for (std::int32_t j = 0; j < n; ++j) {
-      double col = 0;
-      for (std::int32_t i = 0; i < n; ++i) {
-        if (i != j) col += g.at(i, j);
-      }
-      if (col <= 0) continue;
-      const double scale = in[static_cast<std::size_t>(j)] / col;
-      for (std::int32_t i = 0; i < n; ++i) {
-        if (i != j) g.set(i, j, g.at(i, j) * scale);
-      }
+      if (i != j) g.set(i, j, v[static_cast<std::size_t>(i) * un + j]);
     }
   }
   return g;
@@ -339,17 +371,37 @@ DenseTorTm job_augmented_prior(const RoutingMatrix& routing,
   const DenseTorTm g = gravity_prior(routing, link_loads);
   const std::int32_t n = routing.tor_count();
 
-  // overlap_ij = sum_k activity[k][i] * activity[k][j]
+  // overlap_ij = sum_k activity[k][i] * activity[k][j], built job by job
+  // over each job's nonzero ToRs only.  Every term skipped has a zero
+  // factor and a finite other one, so it is +-0, and adding +-0 cannot
+  // change a sum that starts at +0: each sum is bit for bit the dense one,
+  // still accumulated in ascending k.
+  std::vector<double> overlap(static_cast<std::size_t>(n) * n, 0.0);
+  std::vector<std::int32_t> active;
+  for (const auto& a : activity) {
+    require(a.size() == static_cast<std::size_t>(n),
+            "job_augmented_prior: activity row size mismatch");
+    active.clear();
+    for (std::int32_t i = 0; i < n; ++i) {
+      const double v = a[static_cast<std::size_t>(i)];
+      require(std::isfinite(v), "job_augmented_prior: activity must be finite");
+      if (v != 0) active.push_back(i);
+    }
+    for (std::int32_t i : active) {
+      for (std::int32_t j : active) {
+        if (i == j) continue;
+        overlap[static_cast<std::size_t>(i) * n + j] +=
+            a[static_cast<std::size_t>(i)] * a[static_cast<std::size_t>(j)];
+      }
+    }
+  }
   DenseTorTm m(n);
   double m_total = 0;
   for (std::int32_t i = 0; i < n; ++i) {
     for (std::int32_t j = 0; j < n; ++j) {
       if (i == j) continue;
-      double overlap = 0;
-      for (const auto& a : activity) {
-        overlap += a[static_cast<std::size_t>(i)] * a[static_cast<std::size_t>(j)];
-      }
-      const double v = g.at(i, j) * (1.0 + alpha * overlap);
+      const double v =
+          g.at(i, j) * (1.0 + alpha * overlap[static_cast<std::size_t>(i) * n + j]);
       m.set(i, j, v);
       m_total += v;
     }
@@ -378,6 +430,11 @@ DenseTorTm sparsity_max(const RoutingMatrix& routing, const std::vector<double>&
   for (double v : resid) total += v;
   if (total <= 0) return x;
   const double stop = opts.residual_fraction * total;
+  // The padding's sentinel slot reads +inf, which never lowers a minimum.
+  resid.push_back(std::numeric_limits<double>::infinity());
+  const std::span<const double> links(resid.data(), link_loads.size());
+  constexpr std::size_t kWidth = RoutingMatrix::kPathWidth;
+  const std::int32_t* table = routing.path_table().data();
 
   std::int32_t entries = 0;
   for (;;) {
@@ -388,9 +445,11 @@ DenseTorTm sparsity_max(const RoutingMatrix& routing, const std::vector<double>&
     for (std::int32_t i = 0; i < n; ++i) {
       for (std::int32_t j = 0; j < n; ++j) {
         if (i == j) continue;
+        const std::int32_t* hop = table + (static_cast<std::size_t>(i) * n + j) * kWidth;
         double assignable = std::numeric_limits<double>::infinity();
-        for (std::int32_t l : routing.path(i, j)) {
-          assignable = std::min(assignable, resid[static_cast<std::size_t>(l)]);
+#pragma GCC unroll 4
+        for (std::size_t h = 0; h < kWidth; ++h) {
+          assignable = std::min(assignable, resid[static_cast<std::size_t>(hop[h])]);
         }
         if (assignable > best) {
           best = assignable;
@@ -405,7 +464,7 @@ DenseTorTm sparsity_max(const RoutingMatrix& routing, const std::vector<double>&
     for (std::int32_t l : routing.path(bi, bj)) {
       resid[static_cast<std::size_t>(l)] -= best;
     }
-    for (double v : resid) remaining += v;
+    for (double v : links) remaining += v;
     if (++entries >= opts.max_entries || remaining <= stop) break;
   }
   return x;

@@ -16,6 +16,14 @@
 //    matching-pursuit that repeatedly routes the largest assignable volume
 //    through one OD pair (documented substitution; it shares the MILP's
 //    qualitative behaviour: solutions far sparser than the ground truth).
+//
+// The kernels scan RoutingMatrix's padded path table (routing.h): the CG
+// solve applies A W A^T in one fused gather-weight-scatter pass per
+// iteration into buffers allocated once per solve, and the job prior sums
+// overlaps over each job's nonzero ToRs only.  Every output is bit for bit
+// the straightforward loops' result, because each sum keeps its term order
+// and only ever gains +-0 terms (docs/PERFORMANCE.md, "Tomography
+// kernels"); Golden.TomographyDigest pins them.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +106,8 @@ class SnmpCounters;
 
 /// §5.3's job-aware prior: gravity multiplied by
 ///   1 + alpha * sum_k activity[k][i] * activity[k][j],
-/// renormalized to the gravity prior's total.
+/// renormalized to the gravity prior's total.  Every activity row must hold
+/// one finite entry per ToR (throws dct::Error otherwise).
 [[nodiscard]] DenseTorTm job_augmented_prior(
     const RoutingMatrix& routing, const std::vector<double>& link_loads,
     const std::vector<std::vector<double>>& activity, double alpha = 1.0);

@@ -68,20 +68,28 @@ RoutingMatrix::RoutingMatrix(const Topology& topo) : n_(topo.rack_count()) {
     link_ids_.push_back(l);
   }
 
-  paths_.resize(static_cast<std::size_t>(n_) * n_);
+  // A path is ToR up, then agg up and agg down when the ToRs hang off
+  // different aggregation switches, then ToR down.
+  const auto crosses_agg = [&](std::int32_t i, std::int32_t j) {
+    return topo.agg_of(RackId{i}) != topo.agg_of(RackId{j});
+  };
+  table_.assign(static_cast<std::size_t>(n_) * n_ * kPathWidth, link_count());
   for (std::int32_t i = 0; i < n_; ++i) {
     for (std::int32_t j = 0; j < n_; ++j) {
       if (i == j) continue;
-      auto& p = paths_[static_cast<std::size_t>(i) * n_ + j];
+      std::int32_t* row = &table_[(static_cast<std::size_t>(i) * n_ + j) * kPathWidth];
       const RackId ri{i};
       const RackId rj{j};
-      p.push_back(measured_index(topo.tor_up_link(ri)));
-      if (topo.agg_of(ri) != topo.agg_of(rj)) {
-        p.push_back(measured_index(topo.agg_up_link(topo.agg_of(ri))));
-        p.push_back(measured_index(topo.agg_down_link(topo.agg_of(rj))));
+      std::size_t h = 0;
+      row[h++] = measured_index(topo.tor_up_link(ri));
+      if (crosses_agg(i, j)) {
+        row[h++] = measured_index(topo.agg_up_link(topo.agg_of(ri)));
+        row[h++] = measured_index(topo.agg_down_link(topo.agg_of(rj)));
       }
-      p.push_back(measured_index(topo.tor_down_link(rj)));
-      for (std::int32_t idx : p) ensure(idx >= 0, "unmeasured link on a ToR path");
+      row[h++] = measured_index(topo.tor_down_link(rj));
+      for (std::size_t k = 0; k < h; ++k) {
+        ensure(row[k] >= 0, "unmeasured link on a ToR path");
+      }
     }
   }
 }
@@ -98,37 +106,43 @@ LinkId RoutingMatrix::link_at(std::int32_t measured) const {
   return link_ids_[static_cast<std::size_t>(measured)];
 }
 
-const std::vector<std::int32_t>& RoutingMatrix::path(std::int32_t i,
-                                                     std::int32_t j) const {
+std::span<const std::int32_t> RoutingMatrix::path(std::int32_t i, std::int32_t j) const {
   require(i >= 0 && i < n_ && j >= 0 && j < n_ && i != j, "path: bad OD pair");
-  return paths_[static_cast<std::size_t>(i) * n_ + j];
+  const auto row = path_table().subspan(
+      (static_cast<std::size_t>(i) * n_ + j) * kPathWidth, kPathWidth);
+  return row.first(static_cast<std::size_t>(
+      std::find(row.begin(), row.end(), link_count()) - row.begin()));
 }
 
+// Both kernels scan every row, the diagonal's included: its hops are all
+// sentinel, so a diagonal entry lands only in the discarded slot and a
+// diagonal sum is +0.
 std::vector<double> RoutingMatrix::link_loads(const DenseTorTm& tm) const {
   require(tm.size() == n_, "link_loads: TM size mismatch");
-  std::vector<double> b(static_cast<std::size_t>(link_count()), 0.0);
-  for (std::int32_t i = 0; i < n_; ++i) {
-    for (std::int32_t j = 0; j < n_; ++j) {
-      if (i == j) continue;
-      const double x = tm.at(i, j);
-      if (x <= 0) continue;
-      for (std::int32_t l : path(i, j)) b[static_cast<std::size_t>(l)] += x;
-    }
+  std::vector<double> b(static_cast<std::size_t>(link_count()) + 1, 0.0);
+  const std::vector<double>& x = tm.raw();
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    if (x[k] <= 0) continue;
+    const std::int32_t* hop = table_.data() + k * kPathWidth;
+#pragma GCC unroll 4
+    for (std::size_t h = 0; h < kPathWidth; ++h) b[static_cast<std::size_t>(hop[h])] += x[k];
   }
+  b.pop_back();  // the sentinel's slot
   return b;
 }
 
 std::vector<double> RoutingMatrix::adjoint(const std::vector<double>& lambda) const {
   require(lambda.size() == static_cast<std::size_t>(link_count()),
           "adjoint: size mismatch");
-  std::vector<double> y(static_cast<std::size_t>(n_) * n_, 0.0);
-  for (std::int32_t i = 0; i < n_; ++i) {
-    for (std::int32_t j = 0; j < n_; ++j) {
-      if (i == j) continue;
-      double acc = 0;
-      for (std::int32_t l : path(i, j)) acc += lambda[static_cast<std::size_t>(l)];
-      y[static_cast<std::size_t>(i) * n_ + j] = acc;
-    }
+  std::vector<double> u(lambda);
+  u.push_back(0.0);  // the sentinel reads +0
+  std::vector<double> y(static_cast<std::size_t>(n_) * n_);
+  for (std::size_t k = 0; k < y.size(); ++k) {
+    const std::int32_t* hop = table_.data() + k * kPathWidth;
+    double acc = 0;
+#pragma GCC unroll 4
+    for (std::size_t h = 0; h < kPathWidth; ++h) acc += u[static_cast<std::size_t>(hop[h])];
+    y[k] = acc;
   }
   return y;
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -54,8 +55,15 @@ class DenseTorTm {
 };
 
 /// The routing matrix at ToR granularity: which inter-switch links each
-/// ToR-to-ToR OD pair crosses.  Rows are OD pairs in (src*n + dst) order
-/// (diagonal rows empty); columns are *measured links* indexed densely.
+/// ToR-to-ToR OD pair crosses.  Rows are OD pairs in (src*n + dst) order;
+/// columns are *measured links* indexed densely.
+///
+/// All n^2 paths live in one flat table, row k = src*n + dst, each row
+/// padded to kPathWidth hops (the longest path: ToR up, agg up, agg down,
+/// ToR down) with the sentinel index link_count().  A diagonal row is all
+/// sentinel.  Kernels that scan the table size their link vectors
+/// link_count() + 1: the sentinel's input is +0 (+inf for a minimum) and
+/// its output is thrown away, so a padded row costs no branch and no bit.
 class RoutingMatrix {
  public:
   explicit RoutingMatrix(const Topology& topo);
@@ -70,9 +78,14 @@ class RoutingMatrix {
   /// Topology link behind a measured index.
   [[nodiscard]] LinkId link_at(std::int32_t measured) const;
 
-  /// Measured-link indices crossed by OD pair (i -> j).
-  [[nodiscard]] const std::vector<std::int32_t>& path(std::int32_t i,
-                                                      std::int32_t j) const;
+  /// Measured-link indices crossed by OD pair (i -> j), in path order:
+  /// the row's real hops, without its padding.
+  [[nodiscard]] std::span<const std::int32_t> path(std::int32_t i, std::int32_t j) const;
+
+  /// Hops per row of the padded path table.
+  static constexpr std::size_t kPathWidth = 4;
+  /// The padded path table: n^2 rows of kPathWidth measured indices.
+  [[nodiscard]] std::span<const std::int32_t> path_table() const noexcept { return table_; }
 
   /// b = A x : link loads induced by a ToR TM.
   [[nodiscard]] std::vector<double> link_loads(const DenseTorTm& tm) const;
@@ -83,8 +96,8 @@ class RoutingMatrix {
  private:
   std::int32_t n_;
   std::vector<LinkId> link_ids_;
-  std::vector<std::int32_t> measured_of_link_;        // LinkId value -> dense idx
-  std::vector<std::vector<std::int32_t>> paths_;      // od index -> link idxs
+  std::vector<std::int32_t> measured_of_link_;  // LinkId value -> dense idx
+  std::vector<std::int32_t> table_;             // od index * kPathWidth + hop
 };
 
 }  // namespace dct

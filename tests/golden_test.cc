@@ -12,8 +12,11 @@
 #include "analysis/flowstats.h"
 #include "analysis/traffic_matrix.h"
 #include "ckpt/snapshot.h"
+#include "common/fnv.h"
 #include "common/stats.h"
 #include "core/experiment.h"
+#include "tomography/estimators.h"
+#include "tomography/routing.h"
 #include "trace/codec.h"
 
 namespace dct {
@@ -161,6 +164,55 @@ TEST(Golden, TrajectoryDigest) {
   exact.sim.recompute_interval = 0.0;
   expect_digest(run_digest(std::move(exact)), 899, 16, 0x1cec2f27f6f39d46ULL,
                 0xea58e0c997c992e6ULL);
+}
+
+// Bit-exact tomography digests: FNV-1a over the raw doubles every §5
+// estimator returns, over each 10 s ToR window of the golden run.  One
+// digest per output, so a failure names the kernel that changed.  The
+// masked estimators run on a fixed mask (every 11th measured link dropped)
+// that no bench takes.  Re-derive only on an intended re-baseline.
+TEST(Golden, TomographyDigest) {
+  auto& exp = golden().exp;
+  const RoutingMatrix routing(exp.topology());
+  const auto activity = job_tor_activity(exp.trace(), exp.topology());
+  LinkLoadMask mask(static_cast<std::size_t>(routing.link_count()), 1);
+  for (std::size_t l = 4; l < mask.size(); l += 11) mask[l] = 0;
+
+  enum { kLoads, kAdjoint, kGravity, kTomogravity, kJobPrior, kJobEst,
+         kMaskedGravity, kMaskedEst, kSparsity, kOutputs };
+  std::vector<Fnv1a> h(kOutputs);
+  auto fold = [&](int out, const std::vector<double>& v) {
+    for (double x : v) h[static_cast<std::size_t>(out)].f64(x);
+  };
+  const auto tms = build_tm_series(exp.trace(), exp.topology(), 10.0, TmScope::kToR);
+  ASSERT_EQ(tms.size(), 30u);
+  for (const auto& sparse : tms) {
+    const auto loads = routing.link_loads(DenseTorTm::from_sparse(sparse));
+    fold(kLoads, loads);
+    fold(kAdjoint, routing.adjoint(loads));
+    const auto gravity = gravity_prior(routing, loads);
+    fold(kGravity, gravity.raw());
+    fold(kTomogravity, tomogravity(routing, loads, gravity).raw());
+    const auto job_prior = job_augmented_prior(routing, loads, activity);
+    fold(kJobPrior, job_prior.raw());
+    fold(kJobEst, tomogravity(routing, loads, job_prior).raw());
+    const auto masked_prior = gravity_prior_masked(routing, loads, mask);
+    fold(kMaskedGravity, masked_prior.raw());
+    fold(kMaskedEst, tomogravity_masked(routing, loads, mask, masked_prior).raw());
+    fold(kSparsity, sparsity_max(routing, loads).raw());
+  }
+  const std::uint64_t want[kOutputs] = {
+      0x7f2c61eed1c3080eULL, 0x5455f256ad4e7071ULL, 0x653ecc39d47ba0c1ULL,
+      0xc5c512e9cb9deaaaULL, 0x0513fc2ffdd3053fULL, 0x48e83442c711da65ULL,
+      0x2081ce2732a538a3ULL, 0x7937fbd28612680eULL, 0x87034e5a0614b84eULL};
+  const char* names[kOutputs] = {"link_loads",  "adjoint",       "gravity_prior",
+                                 "tomogravity", "job_prior",     "tomogravity(job)",
+                                 "gravity_prior_masked", "tomogravity_masked",
+                                 "sparsity_max"};
+  for (int k = 0; k < kOutputs; ++k) {
+    EXPECT_EQ(h[static_cast<std::size_t>(k)].value(), want[k])
+        << names[k] << " fnv 0x" << std::hex << h[static_cast<std::size_t>(k)].value();
+  }
 }
 
 }  // namespace

@@ -206,6 +206,11 @@ TEST(ReproJson, RejectsValuesTheirFieldCannotHold) {
       {"sim.end_time", "inf"},
       {"workload.jobs_per_second", "nan"},
       {"workload.jobs_per_second", "fast"},
+      {"seed", "abc"},
+      {"seed", "-1"},
+      {"cascades_seed", "1.5"},
+      {"telemetry_seed", "18446744073709551616"},
+      {"telemetry_seed", "+7"},
   };
   for (const auto& [key, value] : bad) {
     try {
@@ -225,6 +230,11 @@ TEST(ReproJson, RejectsValuesTheirFieldCannotHold) {
                 with_knob(json, "topology.racks", "-2147483648"))
                 .topology.racks,
             -2147483647 - 1);
+  const ScenarioConfig max_seed = testing::scenario_from_repro(
+      with_knob(with_knob(json, "seed", "18446744073709551615"), "cascades_seed",
+                "18446744073709551615"));
+  EXPECT_EQ(max_seed.seed, 18446744073709551615ull);
+  EXPECT_EQ(max_seed.cascades.seed, 18446744073709551615ull);
 }
 
 TEST(ReproJson, ReplayedScenarioRunsIdentically) {

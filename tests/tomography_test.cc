@@ -56,6 +56,23 @@ TEST(RoutingMatrix, PathsUseMeasuredLinksOnly) {
   EXPECT_THROW((void)routing.path(0, 0), Error);
 }
 
+TEST(RoutingMatrix, PathTableRowsArePathsThenSentinel) {
+  Topology topo(topo_config());
+  RoutingMatrix routing(topo);
+  const auto table = routing.path_table();
+  constexpr std::size_t kWidth = RoutingMatrix::kPathWidth;
+  ASSERT_EQ(table.size(), 36 * kWidth);
+  for (std::int32_t i = 0; i < 6; ++i) {
+    for (std::int32_t j = 0; j < 6; ++j) {
+      const auto row = table.subspan(static_cast<std::size_t>(i * 6 + j) * kWidth, kWidth);
+      const std::size_t hops = i == j ? 0 : routing.path(i, j).size();
+      for (std::size_t h = 0; h < kWidth; ++h) {
+        EXPECT_EQ(row[h], h < hops ? routing.path(i, j)[h] : routing.link_count());
+      }
+    }
+  }
+}
+
 TEST(RoutingMatrix, LinkLoadsMatchManualSum) {
   Topology topo(topo_config());
   RoutingMatrix routing(topo);
@@ -226,6 +243,19 @@ TEST(JobPrior, SharpensTowardCoscheduledRacks) {
   const double err_plain = rmsre(truth, tomogravity(routing, b, plain), 0.75);
   const double err_aware = rmsre(truth, tomogravity(routing, b, aware), 0.75);
   EXPECT_LE(err_aware, err_plain + 1e-9);
+}
+
+TEST(JobPrior, RejectsMalformedActivity) {
+  Topology topo(topo_config());
+  RoutingMatrix routing(topo);
+  Rng rng(3);
+  const auto b = routing.link_loads(random_tm(6, rng));
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    const std::vector<std::vector<double>> activity = {{1, 0, bad, 0, 0, 0}};
+    EXPECT_THROW((void)job_augmented_prior(routing, b, activity), Error);
+  }
+  const std::vector<std::vector<double>> short_row = {{1, 2, 3}};
+  EXPECT_THROW((void)job_augmented_prior(routing, b, short_row), Error);
 }
 
 TEST(Metrics, VolumeThresholdAndRmsre) {

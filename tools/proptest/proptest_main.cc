@@ -218,14 +218,24 @@ void emit_repro(const ScenarioConfig& failing,
                        .with_checkpoint = violated.rfind("oracle.checkpoint", 0) == 0,
                        .workdir = (fs::path(opt.out) / "shrink_ckpt").string(),
                        .replay = fuzz_replay};
+  // The shrinker returns its last accepted candidate, so the predicate's
+  // last failing report is the shrunk config's (the original one when
+  // nothing was accepted).  That report, not the unshrunk one, is what a
+  // --replay of the written repro prints.
+  testing::InvariantReport shrunk_report = report;
   const auto still_fails = [&](const ScenarioConfig& c) {
+    testing::InvariantReport r;
     try {
-      return evaluate_scenario(c, eo).violated(violated);
-    } catch (const std::exception&) {
+      r = evaluate_scenario(c, eo);
+    } catch (const std::exception& e) {
       // A scenario that now throws only counts when an exception is what
       // we're minimizing; otherwise it's a different failure.
-      return violated == "harness.exception";
+      if (violated != "harness.exception") return false;
+      r.fail("harness.exception", e.what());
     }
+    if (!r.violated(violated)) return false;
+    shrunk_report = std::move(r);
+    return true;
   };
   const auto shrunk = testing::shrink_scenario(failing, still_fails, 48);
 
@@ -241,7 +251,7 @@ void emit_repro(const ScenarioConfig& failing,
   const auto& topo = shrunk.config.topology;
   const int servers = topo.racks * topo.servers_per_rack + topo.external_servers;
   std::cout << "violated: " << violated << "\n"
-            << report.summary() << "shrink: " << shrunk.evals << " evals, "
+            << shrunk_report.summary() << "shrink: " << shrunk.evals << " evals, "
             << shrunk.accepted << " accepted; minimized to " << servers
             << " servers, " << shrunk.config.sim.end_time << " s horizon\n"
             << "repro:   " << repro_path << "\n"
