@@ -1,7 +1,7 @@
 // Solver micro-benchmarks: the computational building blocks whose cost
 // bounds how large a cluster each analysis scales to — max-min fair rate
-// recomputation (the simulator's hot loop), TM-series construction, and the
-// three tomography estimators.
+// recomputation (the simulator's hot loop), TM-series construction, the
+// three tomography estimators and the normal operator inside tomogravity.
 #include <benchmark/benchmark.h>
 
 #include "analysis/traffic_matrix.h"
@@ -100,6 +100,29 @@ BENCHMARK(BM_Tomogravity)
     ->Args({100, 2})
     ->Args({75, 6})
     ->Unit(benchmark::kMillisecond);
+
+void BM_NormalOperator(benchmark::State& state) {
+  // One application of A W A^T, the step each conjugate-gradient iteration
+  // of a tomogravity solve takes; BM_Tomogravity also counts iterations.
+  const dct::Topology topo = tomo_topology(state);
+  dct::RoutingMatrix routing(topo);
+  dct::Rng rng(13);
+  const auto n = static_cast<std::size_t>(routing.tor_count());
+  std::vector<double> w(n * n, 0.0);
+  for (std::size_t k = 0; k < w.size(); ++k) {
+    if (k / n != k % n) w[k] = rng.uniform(0.1, 10.0);
+  }
+  std::vector<double> u(static_cast<std::size_t>(routing.link_count()));
+  for (double& x : u) x = rng.uniform(-1.0, 1.0);
+  std::vector<double> v(u.size());
+  for (auto _ : state) {
+    routing.normal_matvec(w, u, v);
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["pairs"] = static_cast<double>(n * (n - 1));
+}
+BENCHMARK(BM_NormalOperator)->Args({25, 2})->Args({75, 6})->Unit(benchmark::kMicrosecond);
 
 void BM_JobAugmentedPrior(benchmark::State& state) {
   // 3 jobs per rack, each spread over 1-8 racks with 1-20 servers in each,

@@ -7,7 +7,7 @@ namespace dct::ckpt {
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'D', 'S', 'N', 'P'};
-constexpr std::uint8_t kVersion = 2;
+constexpr std::uint8_t kVersion = 3;
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 1;
 // Header plus the eleven u64 fields; the 8-byte trailer follows.
 constexpr std::size_t kBodyBytes = kHeaderBytes + 11 * 8;

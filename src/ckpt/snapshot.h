@@ -12,10 +12,12 @@
 // Per-section digests let a divergent resume name the first section that
 // differs.
 //
-// Encoding (version 2): magic "DSNP", a version byte, eleven fixed-width
+// Encoding (version 3): magic "DSNP", a version byte, eleven fixed-width
 // little-endian u64 fields, then an FNV-1a trailer over everything before
-// it.  Version-1 files (the full serialized state) fail decode and are
-// skipped on recovery like any other unreadable snapshot.
+// it.  Older files fail decode and are skipped on recovery like any other
+// unreadable snapshot: version 1 held the full serialized state, and
+// version 2's simulator digest covered a per-flow rate-epoch counter that
+// no longer exists.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +66,7 @@ struct Snapshot {
 [[nodiscard]] std::vector<std::uint8_t> encode_snapshot(const Snapshot& s);
 
 /// Inverse of encode_snapshot.  Throws dct::Error on a checksum mismatch
-/// (torn or corrupt file), bad magic, any version but 2, or a wrong length.
+/// (torn or corrupt file), bad magic, any version but 3, or a wrong length.
 [[nodiscard]] Snapshot decode_snapshot(std::span<const std::uint8_t> data);
 
 /// Compares the sim time, section digests (flowsim, workload, faults, obs)

@@ -390,11 +390,10 @@ void FlowSim::recompute_rates() {
     });
   }
 
-  // Phase 4: bump generations, move each flow's completion to its new
-  // finish time (or disarm it), schedule stall events.
+  // Phase 4: move each flow's completion to its new finish time (or disarm
+  // it), schedule stall events.
   for (std::size_t i = 0; i < n; ++i) {
     auto& f = active_[i];
-    ++f.generation;
     const TimeSec done = f.rate > 0 ? now_ + f.remaining / f.rate
                                     : std::numeric_limits<TimeSec>::infinity();
     if (done <= config_.end_time) {
@@ -564,7 +563,6 @@ FlowSim::NetworkChangeStats FlowSim::handle_network_change() {
       for (LinkId l : f.path) ++link_active_[static_cast<std::size_t>(l.value())];
       // The completion armed at the old rate is void; the next recompute
       // assigns a rate on the new path and re-arms it.
-      ++f.generation;
       completions_.disarm(f.id.value());
       ++fault_rerouted_;
       ++stats.flows_rerouted;
@@ -680,7 +678,7 @@ std::uint64_t FlowSim::state_digest() const {
   for (const ActiveFlow* f : flows) {
     h.i64(f->id.value()).i64(f->spec.src.value()).i64(f->spec.dst.value());
     h.i64(f->spec.bytes).f64(f->remaining).f64(f->rate).f64(f->start);
-    h.f64(f->last_deposit).f64(f->stall_since).u64(f->generation);
+    h.f64(f->last_deposit).f64(f->stall_since);
     h.i64(f->spec.job.value()).i64(f->spec.phase.value());
     h.u64(static_cast<std::uint64_t>(f->spec.kind));
   }

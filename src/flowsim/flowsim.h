@@ -257,7 +257,6 @@ class FlowSim {
     TimeSec start = 0;
     TimeSec last_deposit = 0;        // utilization accounted up to here
     TimeSec stall_since = -1;        // -1: not stalled
-    std::uint32_t generation = 0;    // rate epochs (checkpoint state)
     CompletionCallback on_complete;
   };
 

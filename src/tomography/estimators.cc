@@ -12,73 +12,30 @@
 namespace dct {
 namespace {
 
-// Measured index of ToR i's uplink / downlink, via any path that starts /
-// ends there.
-std::int32_t tor_up_idx(const RoutingMatrix& r, std::int32_t i) {
-  const std::int32_t j = (i + 1) % r.tor_count();
-  return r.path(i, j).front();
-}
-std::int32_t tor_down_idx(const RoutingMatrix& r, std::int32_t i) {
-  const std::int32_t j = (i + 1) % r.tor_count();
-  return r.path(j, i).back();
-}
-
-// v = A W A^T u  for W = diag(w) over OD pairs, in one pass over the
-// padded path table: per pair, gather u over the row's hops, weight, and
-// scatter back.  `u` and `v` have link_count() + 1 entries; u's last (the
-// sentinel's) must be +0 and v's last is discarded.  This is bit for bit
-// A (W (A^T u)): each pair's sum still runs over its hops in path order
-// from +0, whose trailing +0 terms change nothing, and each v[l] still
-// receives its terms in (i, j) order.  A non-null `mask` drops the masked
-// measurement rows from the operator (their output components are pinned
-// to zero, so lambda never grows support there).
-void normal_matvec(const RoutingMatrix& r, const std::vector<double>& w,
-                   const std::vector<double>& u, std::vector<double>& v,
-                   const LinkLoadMask* mask) {
-  constexpr std::size_t kWidth = RoutingMatrix::kPathWidth;
-  const std::int32_t* table = r.path_table().data();
-  std::fill(v.begin(), v.end(), 0.0);
-  for (std::size_t k = 0; k < w.size(); ++k) {
-    const std::int32_t* hop = table + k * kWidth;
-    double acc = 0;
-#pragma GCC unroll 4
-    for (std::size_t h = 0; h < kWidth; ++h) acc += u[static_cast<std::size_t>(hop[h])];
-    const double x = acc * w[k];
-    if (x == 0) continue;
-#pragma GCC unroll 4
-    for (std::size_t h = 0; h < kWidth; ++h) v[static_cast<std::size_t>(hop[h])] += x;
-  }
-  if (mask != nullptr) {
-    for (std::size_t l = 0; l < mask->size(); ++l) {
-      if ((*mask)[l] == 0) v[l] = 0.0;
-    }
-  }
-}
-
 // Conjugate gradients for (A W A^T) lambda = rhs.  The operator is
 // symmetric positive semidefinite and rhs lies in its range, so CG
 // converges to a least-norm-ish solution; we stop on relative residual.
-// With a mask, rhs must already be zero on masked rows; the iteration then
-// stays inside the valid subspace.  The search direction and its image
-// carry the operator's sentinel slot past the link_count() entries the
-// iteration reads; nothing is allocated per iteration.
+// A nonempty `mask` drops the masked measurement rows from the operator
+// (their output components are pinned to zero, so lambda never grows
+// support there); rhs must already be zero on masked rows, and the
+// iteration then stays inside the valid subspace.  Nothing is allocated
+// per iteration.
 std::vector<double> solve_normal(const RoutingMatrix& r, const std::vector<double>& w,
                                  const std::vector<double>& rhs,
                                  const TomogravityOptions& opts,
-                                 const LinkLoadMask* mask = nullptr) {
+                                 std::span<const std::uint8_t> mask) {
   const std::size_t links = rhs.size();
   std::vector<double> lambda(links, 0.0);
   std::vector<double> resid = rhs;
-  std::vector<double> p(links + 1, 0.0);
-  std::vector<double> ap(links + 1);
-  std::copy(resid.begin(), resid.end(), p.begin());
+  std::vector<double> p = resid;
+  std::vector<double> ap(links);
   double rr = 0;
   for (double v : resid) rr += v * v;
   const double rr0 = rr;
   if (rr0 == 0) return lambda;
 
   for (std::int32_t it = 0; it < opts.cg_iterations; ++it) {
-    normal_matvec(r, w, p, ap, mask);
+    r.normal_matvec(w, p, ap, mask);
     double pap = 0;
     for (std::size_t i = 0; i < links; ++i) pap += p[i] * ap[i];
     if (pap <= 0) break;  // hit the operator's null space
@@ -176,9 +133,9 @@ DenseTorTm gravity_prior(const RoutingMatrix& routing,
   std::vector<double> in(static_cast<std::size_t>(n), 0.0);
   for (std::int32_t i = 0; i < n; ++i) {
     out[static_cast<std::size_t>(i)] =
-        link_loads[static_cast<std::size_t>(tor_up_idx(routing, i))];
+        link_loads[static_cast<std::size_t>(routing.tor_up(i))];
     in[static_cast<std::size_t>(i)] =
-        link_loads[static_cast<std::size_t>(tor_down_idx(routing, i))];
+        link_loads[static_cast<std::size_t>(routing.tor_down(i))];
   }
   return gravity_from_marginals(n, out, in);
 }
@@ -200,8 +157,8 @@ DenseTorTm gravity_prior_masked(const RoutingMatrix& routing,
   std::size_t out_n = 0;
   std::size_t in_n = 0;
   for (std::int32_t i = 0; i < n; ++i) {
-    const auto up = static_cast<std::size_t>(tor_up_idx(routing, i));
-    const auto down = static_cast<std::size_t>(tor_down_idx(routing, i));
+    const auto up = static_cast<std::size_t>(routing.tor_up(i));
+    const auto down = static_cast<std::size_t>(routing.tor_down(i));
     if (mask[up] != 0) {
       out[static_cast<std::size_t>(i)] = link_loads[up];
       out_ok[static_cast<std::size_t>(i)] = 1;
@@ -234,7 +191,7 @@ namespace {
 
 DenseTorTm tomogravity_impl(const RoutingMatrix& routing,
                             const std::vector<double>& link_loads,
-                            const LinkLoadMask* mask, const DenseTorTm& prior,
+                            std::span<const std::uint8_t> mask, const DenseTorTm& prior,
                             const TomogravityOptions& opts) {
   require(prior.size() == routing.tor_count(), "tomogravity: prior size mismatch");
   const std::int32_t n = routing.tor_count();
@@ -271,7 +228,7 @@ DenseTorTm tomogravity_impl(const RoutingMatrix& routing,
     std::vector<double> rhs(link_loads.size());
     double rhs_norm = 0;
     for (std::size_t l = 0; l < rhs.size(); ++l) {
-      rhs[l] = mask != nullptr && (*mask)[l] == 0 ? 0.0 : link_loads[l] - ax[l];
+      rhs[l] = !mask.empty() && mask[l] == 0 ? 0.0 : link_loads[l] - ax[l];
       rhs_norm += rhs[l] * rhs[l];
     }
     if (rhs_norm < best_norm) {
@@ -299,7 +256,7 @@ DenseTorTm tomogravity_impl(const RoutingMatrix& routing,
 
 DenseTorTm tomogravity(const RoutingMatrix& routing, const std::vector<double>& link_loads,
                        const DenseTorTm& prior, const TomogravityOptions& opts) {
-  return tomogravity_impl(routing, link_loads, nullptr, prior, opts);
+  return tomogravity_impl(routing, link_loads, {}, prior, opts);
 }
 
 DenseTorTm tomogravity(const RoutingMatrix& routing, const std::vector<double>& link_loads,
@@ -324,7 +281,7 @@ DenseTorTm tomogravity_masked(const RoutingMatrix& routing,
                               const LinkLoadMask& mask, const DenseTorTm& prior,
                               const TomogravityOptions& opts) {
   require(mask.size() == link_loads.size(), "tomogravity_masked: mask size mismatch");
-  return tomogravity_impl(routing, link_loads, &mask, prior, opts);
+  return tomogravity_impl(routing, link_loads, mask, prior, opts);
 }
 
 DenseTorTm tomogravity_masked(const RoutingMatrix& routing,
@@ -430,41 +387,35 @@ DenseTorTm sparsity_max(const RoutingMatrix& routing, const std::vector<double>&
   for (double v : resid) total += v;
   if (total <= 0) return x;
   const double stop = opts.residual_fraction * total;
-  // The padding's sentinel slot reads +inf, which never lowers a minimum.
-  resid.push_back(std::numeric_limits<double>::infinity());
-  const std::span<const double> links(resid.data(), link_loads.size());
-  constexpr std::size_t kWidth = RoutingMatrix::kPathWidth;
-  const std::int32_t* table = routing.path_table().data();
+  const auto min = [](double a, double b) { return std::min(a, b); };
 
   std::int32_t entries = 0;
   for (;;) {
-    // The OD pair that can absorb the most residual volume in one shot.
+    // The OD pair that can absorb the most residual volume in one shot;
+    // ties go to the first (i, j).
     double best = 0;
     std::int32_t bi = -1;
     std::int32_t bj = -1;
-    for (std::int32_t i = 0; i < n; ++i) {
-      for (std::int32_t j = 0; j < n; ++j) {
-        if (i == j) continue;
-        const std::int32_t* hop = table + (static_cast<std::size_t>(i) * n + j) * kWidth;
-        double assignable = std::numeric_limits<double>::infinity();
-#pragma GCC unroll 4
-        for (std::size_t h = 0; h < kWidth; ++h) {
-          assignable = std::min(assignable, resid[static_cast<std::size_t>(hop[h])]);
-        }
-        if (assignable > best) {
-          best = assignable;
-          bi = i;
-          bj = j;
-        }
-      }
-    }
+    routing.fold_paths(resid, std::numeric_limits<double>::infinity(), min,
+                       [&](std::int32_t i, std::int32_t j, double assignable) {
+                         if (assignable > best) {
+                           best = assignable;
+                           bi = i;
+                           bj = j;
+                         }
+                       });
     if (bi < 0 || best <= 0) break;
     x.add(bi, bj, best);
-    double remaining = 0;
-    for (std::int32_t l : routing.path(bi, bj)) {
-      resid[static_cast<std::size_t>(l)] -= best;
+    resid[static_cast<std::size_t>(routing.tor_up(bi))] -= best;
+    const std::int32_t a = routing.agg_of(bi);
+    const std::int32_t b = routing.agg_of(bj);
+    if (a != b) {
+      resid[static_cast<std::size_t>(routing.agg_up(a))] -= best;
+      resid[static_cast<std::size_t>(routing.agg_down(b))] -= best;
     }
-    for (double v : links) remaining += v;
+    resid[static_cast<std::size_t>(routing.tor_down(bj))] -= best;
+    double remaining = 0;
+    for (double v : resid) remaining += v;
     if (++entries >= opts.max_entries || remaining <= stop) break;
   }
   return x;

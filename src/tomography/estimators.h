@@ -17,7 +17,7 @@
 //    through one OD pair (documented substitution; it shares the MILP's
 //    qualitative behaviour: solutions far sparser than the ground truth).
 //
-// The kernels scan RoutingMatrix's padded path table (routing.h): the CG
+// The kernels run on RoutingMatrix's factored paths (routing.h): the CG
 // solve applies A W A^T in one fused gather-weight-scatter pass per
 // iteration into buffers allocated once per solve, and the job prior sums
 // overlaps over each job's nonzero ToRs only.  Every output is bit for bit

@@ -1,6 +1,7 @@
 #include "tomography/routing.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "analysis/traffic_matrix.h"
 #include "common/require.h"
@@ -67,30 +68,24 @@ RoutingMatrix::RoutingMatrix(const Topology& topo) : n_(topo.rack_count()) {
         static_cast<std::int32_t>(link_ids_.size());
     link_ids_.push_back(l);
   }
-
-  // A path is ToR up, then agg up and agg down when the ToRs hang off
-  // different aggregation switches, then ToR down.
-  const auto crosses_agg = [&](std::int32_t i, std::int32_t j) {
-    return topo.agg_of(RackId{i}) != topo.agg_of(RackId{j});
+  const auto measured = [&](LinkId l) {
+    const std::int32_t m = measured_index(l);
+    ensure(m >= 0, "unmeasured link on a ToR path");
+    return m;
   };
-  table_.assign(static_cast<std::size_t>(n_) * n_ * kPathWidth, link_count());
+  for (std::int32_t a = 0; a < topo.agg_count(); ++a) {
+    agg_up_.push_back(measured(topo.agg_up_link(a)));
+    agg_down_.push_back(measured(topo.agg_down_link(a)));
+  }
   for (std::int32_t i = 0; i < n_; ++i) {
-    for (std::int32_t j = 0; j < n_; ++j) {
-      if (i == j) continue;
-      std::int32_t* row = &table_[(static_cast<std::size_t>(i) * n_ + j) * kPathWidth];
-      const RackId ri{i};
-      const RackId rj{j};
-      std::size_t h = 0;
-      row[h++] = measured_index(topo.tor_up_link(ri));
-      if (crosses_agg(i, j)) {
-        row[h++] = measured_index(topo.agg_up_link(topo.agg_of(ri)));
-        row[h++] = measured_index(topo.agg_down_link(topo.agg_of(rj)));
-      }
-      row[h++] = measured_index(topo.tor_down_link(rj));
-      for (std::size_t k = 0; k < h; ++k) {
-        ensure(row[k] >= 0, "unmeasured link on a ToR path");
-      }
+    const RackId r{i};
+    tor_up_.push_back(measured(topo.tor_up_link(r)));
+    tor_down_.push_back(measured(topo.tor_down_link(r)));
+    agg_.push_back(topo.agg_of(r));
+    if (blocks_.empty() || blocks_.back().agg != agg_.back()) {
+      blocks_.push_back({i, i, agg_.back()});
     }
+    ++blocks_.back().end;
   }
 }
 
@@ -106,45 +101,87 @@ LinkId RoutingMatrix::link_at(std::int32_t measured) const {
   return link_ids_[static_cast<std::size_t>(measured)];
 }
 
-std::span<const std::int32_t> RoutingMatrix::path(std::int32_t i, std::int32_t j) const {
-  require(i >= 0 && i < n_ && j >= 0 && j < n_ && i != j, "path: bad OD pair");
-  const auto row = path_table().subspan(
-      (static_cast<std::size_t>(i) * n_ + j) * kPathWidth, kPathWidth);
-  return row.first(static_cast<std::size_t>(
-      std::find(row.begin(), row.end(), link_count()) - row.begin()));
+// Row i's running sums live in registers: tor_up(i) takes row i alone,
+// agg_up(agg_of(i)) is carried over that switch's rows, and agg_down(b) is
+// carried over each of b's blocks in turn.  Each tor_down(j) is a column
+// sum, taking row i's term after row i - 1's.  The four kinds of link are
+// distinct, so no register shadows a slot the loop writes.
+template <class Value>
+void RoutingMatrix::scatter(std::span<double> v, Value value) const {
+  std::fill(v.begin(), v.end(), 0.0);
+  const std::int32_t* down_of = tor_down_.data();
+  for (std::int32_t i = 0; i < n_; ++i) {
+    const std::int32_t a = agg_of(i);
+    double& up_slot = v[ux(agg_up(a))];
+    double tor = 0.0;
+    double up = up_slot;
+    for (const Block& blk : blocks_) {
+      const auto x = value(i, blk.agg);
+      if (blk.agg == a) {
+        for (std::int32_t j = blk.begin; j < blk.end; ++j) {
+          if (j == i) continue;
+          const std::int32_t l = down_of[j];
+          const double xj = x(j, l);
+          tor += xj;
+          v[ux(l)] += xj;
+        }
+        continue;
+      }
+      double& down_slot = v[ux(agg_down(blk.agg))];
+      double down = down_slot;
+      for (std::int32_t j = blk.begin; j < blk.end; ++j) {
+        const std::int32_t l = down_of[j];
+        const double xj = x(j, l);
+        tor += xj;
+        up += xj;
+        down += xj;
+        v[ux(l)] += xj;
+      }
+      down_slot = down;
+    }
+    v[ux(tor_up(i))] = tor;
+    up_slot = up;
+  }
 }
 
-// Both kernels scan every row, the diagonal's included: its hops are all
-// sentinel, so a diagonal entry lands only in the discarded slot and a
-// diagonal sum is +0.
 std::vector<double> RoutingMatrix::link_loads(const DenseTorTm& tm) const {
   require(tm.size() == n_, "link_loads: TM size mismatch");
-  std::vector<double> b(static_cast<std::size_t>(link_count()) + 1, 0.0);
+  std::vector<double> b(static_cast<std::size_t>(link_count()));
   const std::vector<double>& x = tm.raw();
-  for (std::size_t k = 0; k < x.size(); ++k) {
-    if (x[k] <= 0) continue;
-    const std::int32_t* hop = table_.data() + k * kPathWidth;
-#pragma GCC unroll 4
-    for (std::size_t h = 0; h < kPathWidth; ++h) b[static_cast<std::size_t>(hop[h])] += x[k];
-  }
-  b.pop_back();  // the sentinel's slot
+  scatter(b, [&](std::int32_t i, std::int32_t) {
+    const double* row = x.data() + ux(i) * ux(n_);
+    return [row](std::int32_t j, std::int32_t) { return row[j] <= 0 ? 0.0 : row[j]; };
+  });
   return b;
 }
 
 std::vector<double> RoutingMatrix::adjoint(const std::vector<double>& lambda) const {
   require(lambda.size() == static_cast<std::size_t>(link_count()),
           "adjoint: size mismatch");
-  std::vector<double> u(lambda);
-  u.push_back(0.0);  // the sentinel reads +0
-  std::vector<double> y(static_cast<std::size_t>(n_) * n_);
-  for (std::size_t k = 0; k < y.size(); ++k) {
-    const std::int32_t* hop = table_.data() + k * kPathWidth;
-    double acc = 0;
-#pragma GCC unroll 4
-    for (std::size_t h = 0; h < kPathWidth; ++h) acc += u[static_cast<std::size_t>(hop[h])];
-    y[k] = acc;
-  }
+  std::vector<double> y(ux(n_) * ux(n_), 0.0);
+  fold_paths(lambda, 0.0, std::plus<>{}, [&](std::int32_t i, std::int32_t j, double s) {
+    y[ux(i) * ux(n_) + ux(j)] = s;
+  });
   return y;
+}
+
+void RoutingMatrix::normal_matvec(std::span<const double> w, std::span<const double> u,
+                                  std::span<double> v,
+                                  std::span<const std::uint8_t> mask) const {
+  const auto links = static_cast<std::size_t>(link_count());
+  require(w.size() == ux(n_) * ux(n_) && u.size() == links && v.size() == links &&
+              (mask.empty() || mask.size() == links),
+          "normal_matvec: size mismatch");
+  scatter(v, [&](std::int32_t i, std::int32_t b) {
+    const double prefix = path_prefix(u, i, b, 0.0, std::plus<>{});
+    const double* wi = w.data() + ux(i) * ux(n_);
+    return [prefix, u, wi](std::int32_t j, std::int32_t down) {
+      return (prefix + u[ux(down)]) * wi[j];
+    };
+  });
+  for (std::size_t l = 0; l < mask.size(); ++l) {
+    if (mask[l] == 0) v[l] = 0.0;
+  }
 }
 
 }  // namespace dct

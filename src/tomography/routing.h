@@ -58,12 +58,26 @@ class DenseTorTm {
 /// ToR-to-ToR OD pair crosses.  Rows are OD pairs in (src*n + dst) order;
 /// columns are *measured links* indexed densely.
 ///
-/// All n^2 paths live in one flat table, row k = src*n + dst, each row
-/// padded to kPathWidth hops (the longest path: ToR up, agg up, agg down,
-/// ToR down) with the sentinel index link_count().  A diagonal row is all
-/// sentinel.  Kernels that scan the table size their link vectors
-/// link_count() + 1: the sentinel's input is +0 (+inf for a minimum) and
-/// its output is thrown away, so a padded row costs no branch and no bit.
+/// The matrix is kept in its factored form, not as a list of paths.  Pair
+/// (i -> j) crosses tor_up(i), then agg_up(agg_of(i)) and
+/// agg_down(agg_of(j)) when the two ToRs hang off different aggregation
+/// switches, then tor_down(j).  Consecutive ToRs under one aggregation
+/// switch form a block; the scatter kernels walk each row block by block,
+/// so every link's running sum stays in a register.
+///
+/// Every kernel keeps, for each output, the term order of the
+/// straightforward per-pair loops, so results are bit for bit theirs:
+///  * a pair's path sum (adjoint, normal operator) is
+///    (((0 + u[tor_up(i)]) + u[agg_up]) + u[agg_down]) + u[tor_down(j)],
+///    the agg hops only across switches;
+///  * each link receives its pairs' terms in (i, j) order: tor_up(i) row i
+///    in j order, tor_down(j) column j in i order, agg_up(a) and
+///    agg_down(b) their cross-switch pairs in (i, j) order.
+/// A term of +-0 is added rather than skipped: a sum that starts at +0 is
+/// never -0, so +-0 leaves every partial sum unchanged.
+///
+/// A single ToR has no OD pair, so every estimator returns the all-zero
+/// matrix for it.
 class RoutingMatrix {
  public:
   explicit RoutingMatrix(const Topology& topo);
@@ -78,26 +92,79 @@ class RoutingMatrix {
   /// Topology link behind a measured index.
   [[nodiscard]] LinkId link_at(std::int32_t measured) const;
 
-  /// Measured-link indices crossed by OD pair (i -> j), in path order:
-  /// the row's real hops, without its padding.
-  [[nodiscard]] std::span<const std::int32_t> path(std::int32_t i, std::int32_t j) const;
+  /// The factored paths, as measured-link indices.  Arguments are not
+  /// range-checked.
+  [[nodiscard]] std::int32_t tor_up(std::int32_t i) const { return tor_up_[ux(i)]; }
+  [[nodiscard]] std::int32_t tor_down(std::int32_t j) const { return tor_down_[ux(j)]; }
+  [[nodiscard]] std::int32_t agg_of(std::int32_t i) const { return agg_[ux(i)]; }
+  [[nodiscard]] std::int32_t agg_up(std::int32_t a) const { return agg_up_[ux(a)]; }
+  [[nodiscard]] std::int32_t agg_down(std::int32_t a) const { return agg_down_[ux(a)]; }
 
-  /// Hops per row of the padded path table.
-  static constexpr std::size_t kPathWidth = 4;
-  /// The padded path table: n^2 rows of kPathWidth measured indices.
-  [[nodiscard]] std::span<const std::int32_t> path_table() const noexcept { return table_; }
-
-  /// b = A x : link loads induced by a ToR TM.
+  /// b = A x : link loads induced by a ToR TM.  Entries <= 0 and the
+  /// diagonal carry no load.
   [[nodiscard]] std::vector<double> link_loads(const DenseTorTm& tm) const;
 
   /// y = A^T lambda : adjoint application (for least-squares solvers).
+  /// The diagonal is +0.
   [[nodiscard]] std::vector<double> adjoint(const std::vector<double>& lambda) const;
 
+  /// v = A diag(w) A^T u over the n^2 OD-pair weights w (the diagonal's is
+  /// ignored), without allocating.  A nonempty `mask` pins v[l] to +0
+  /// where mask[l] == 0.  u and v must not overlap.
+  void normal_matvec(std::span<const double> w, std::span<const double> u,
+                     std::span<double> v, std::span<const std::uint8_t> mask = {}) const;
+
+  /// Calls visit(i, j, f) for every OD pair i != j in (i, j) order, where f
+  /// folds `op` over u's entries along the pair's path in hop order,
+  /// starting from `init`: op(op(op(op(init, tor_up), agg_up), agg_down),
+  /// tor_down), the agg hops only across switches.
+  template <class Op, class Visit>
+  void fold_paths(std::span<const double> u, double init, Op op, Visit visit) const {
+    for (std::int32_t i = 0; i < n_; ++i) {
+      for (const Block& blk : blocks_) {
+        const double prefix = path_prefix(u, i, blk.agg, init, op);
+        for (std::int32_t j = blk.begin; j < blk.end; ++j) {
+          if (j != i) visit(i, j, op(prefix, u[ux(tor_down(j))]));
+        }
+      }
+    }
+  }
+
  private:
+  /// A run of consecutive ToRs [begin, end) under aggregation switch `agg`.
+  struct Block {
+    std::int32_t begin;
+    std::int32_t end;
+    std::int32_t agg;
+  };
+
+  static std::size_t ux(std::int32_t i) { return static_cast<std::size_t>(i); }
+
+  /// The fold of every hop but the last of a path from ToR i to a ToR
+  /// under aggregation switch b.
+  template <class Op>
+  double path_prefix(std::span<const double> u, std::int32_t i, std::int32_t b,
+                     double init, Op op) const {
+    const std::int32_t a = agg_of(i);
+    const double up = op(init, u[ux(tor_up(i))]);
+    return b == a ? up : op(op(up, u[ux(agg_up(a))]), u[ux(agg_down(b))]);
+  }
+
+  /// Adds each pair's value into v over the pair's path, in the per-link
+  /// orders above.  value(i, b) returns the value of pair (i, j) for the
+  /// ToRs j under aggregation switch b, as a function of j and tor_down(j).
+  template <class Value>
+  void scatter(std::span<double> v, Value value) const;
+
   std::int32_t n_;
   std::vector<LinkId> link_ids_;
   std::vector<std::int32_t> measured_of_link_;  // LinkId value -> dense idx
-  std::vector<std::int32_t> table_;             // od index * kPathWidth + hop
+  std::vector<std::int32_t> tor_up_;            // per ToR
+  std::vector<std::int32_t> tor_down_;          // per ToR
+  std::vector<std::int32_t> agg_;               // per ToR: its aggregation switch
+  std::vector<std::int32_t> agg_up_;            // per aggregation switch
+  std::vector<std::int32_t> agg_down_;          // per aggregation switch
+  std::vector<Block> blocks_;                   // in ToR order
 };
 
 }  // namespace dct

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "analysis/traffic_matrix.h"
 #include "common/require.h"
@@ -39,37 +42,245 @@ TEST(RoutingMatrix, PathsUseMeasuredLinksOnly) {
   EXPECT_EQ(routing.tor_count(), 6);
   EXPECT_EQ(routing.link_count(), 6 * 2 + 2 * 2);
   for (std::int32_t i = 0; i < 6; ++i) {
-    for (std::int32_t j = 0; j < 6; ++j) {
-      if (i == j) continue;
-      const auto& path = routing.path(i, j);
-      const bool same_agg = topo.agg_of(RackId{i}) == topo.agg_of(RackId{j});
-      EXPECT_EQ(path.size(), same_agg ? 2u : 4u);
-      for (std::int32_t l : path) {
-        EXPECT_GE(l, 0);
-        EXPECT_LT(l, routing.link_count());
-      }
-      // First hop is i's ToR uplink; last is j's ToR downlink.
-      EXPECT_EQ(routing.link_at(path.front()), topo.tor_up_link(RackId{i}));
-      EXPECT_EQ(routing.link_at(path.back()), topo.tor_down_link(RackId{j}));
-    }
+    const RackId r{i};
+    EXPECT_EQ(routing.agg_of(i), topo.agg_of(r));
+    EXPECT_EQ(routing.link_at(routing.tor_up(i)), topo.tor_up_link(r));
+    EXPECT_EQ(routing.link_at(routing.tor_down(i)), topo.tor_down_link(r));
   }
-  EXPECT_THROW((void)routing.path(0, 0), Error);
+  for (std::int32_t a = 0; a < 2; ++a) {
+    EXPECT_EQ(routing.link_at(routing.agg_up(a)), topo.agg_up_link(a));
+    EXPECT_EQ(routing.link_at(routing.agg_down(a)), topo.agg_down_link(a));
+  }
 }
 
-TEST(RoutingMatrix, PathTableRowsArePathsThenSentinel) {
-  Topology topo(topo_config());
-  RoutingMatrix routing(topo);
-  const auto table = routing.path_table();
-  constexpr std::size_t kWidth = RoutingMatrix::kPathWidth;
-  ASSERT_EQ(table.size(), 36 * kWidth);
-  for (std::int32_t i = 0; i < 6; ++i) {
-    for (std::int32_t j = 0; j < 6; ++j) {
-      const auto row = table.subspan(static_cast<std::size_t>(i * 6 + j) * kWidth, kWidth);
-      const std::size_t hops = i == j ? 0 : routing.path(i, j).size();
-      for (std::size_t h = 0; h < kWidth; ++h) {
-        EXPECT_EQ(row[h], h < hops ? routing.path(i, j)[h] : routing.link_count());
+// Reference code for the factored kernels: every OD path listed
+// explicitly, built from the topology rather than from RoutingMatrix's
+// factored form.  n^2 rows of four hops (ToR up, agg up, agg down, ToR
+// down); short and diagonal rows are padded with the sentinel index
+// link_count(), whose input is +0 (+inf in a minimum) and whose output is
+// dropped.  Each kernel below runs pair by pair over the table.
+class PaddedTable {
+ public:
+  static constexpr std::size_t kWidth = 4;
+
+  PaddedTable(const Topology& topo, const RoutingMatrix& routing)
+      : n_(routing.tor_count()), sentinel_(routing.link_count()) {
+    table_.assign(static_cast<std::size_t>(n_) * n_ * kWidth, sentinel_);
+    for (std::int32_t i = 0; i < n_; ++i) {
+      for (std::int32_t j = 0; j < n_; ++j) {
+        if (i == j) continue;
+        std::int32_t* row = &table_[(static_cast<std::size_t>(i) * n_ + j) * kWidth];
+        const RackId ri{i};
+        const RackId rj{j};
+        std::size_t h = 0;
+        row[h++] = routing.measured_index(topo.tor_up_link(ri));
+        if (topo.agg_of(ri) != topo.agg_of(rj)) {
+          row[h++] = routing.measured_index(topo.agg_up_link(topo.agg_of(ri)));
+          row[h++] = routing.measured_index(topo.agg_down_link(topo.agg_of(rj)));
+        }
+        row[h++] = routing.measured_index(topo.tor_down_link(rj));
       }
     }
+  }
+
+  std::vector<double> link_loads(const DenseTorTm& tm) const {
+    std::vector<double> b(static_cast<std::size_t>(sentinel_) + 1, 0.0);
+    const std::vector<double>& x = tm.raw();
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      if (x[k] <= 0) continue;
+      for (std::size_t h = 0; h < kWidth; ++h) b[hop(k, h)] += x[k];
+    }
+    b.pop_back();
+    return b;
+  }
+
+  std::vector<double> adjoint(const std::vector<double>& lambda) const {
+    std::vector<double> u(lambda);
+    u.push_back(0.0);
+    std::vector<double> y(static_cast<std::size_t>(n_) * n_);
+    for (std::size_t k = 0; k < y.size(); ++k) {
+      double acc = 0;
+      for (std::size_t h = 0; h < kWidth; ++h) acc += u[hop(k, h)];
+      y[k] = acc;
+    }
+    return y;
+  }
+
+  std::vector<double> normal_matvec(const std::vector<double>& w, std::vector<double> u,
+                                    const std::vector<std::uint8_t>& mask) const {
+    u.push_back(0.0);
+    std::vector<double> v(u.size(), 0.0);
+    for (std::size_t k = 0; k < w.size(); ++k) {
+      double acc = 0;
+      for (std::size_t h = 0; h < kWidth; ++h) acc += u[hop(k, h)];
+      const double x = acc * w[k];
+      if (x == 0) continue;
+      for (std::size_t h = 0; h < kWidth; ++h) v[hop(k, h)] += x;
+    }
+    v.pop_back();
+    for (std::size_t l = 0; l < mask.size(); ++l) {
+      if (mask[l] == 0) v[l] = 0.0;
+    }
+    return v;
+  }
+
+  DenseTorTm sparsity_max(const std::vector<double>& link_loads,
+                          const SparsityOptions& opts) const {
+    DenseTorTm x(n_);
+    std::vector<double> resid = link_loads;
+    double total = 0;
+    for (double v : resid) total += v;
+    if (total <= 0) return x;
+    const double stop = opts.residual_fraction * total;
+    resid.push_back(std::numeric_limits<double>::infinity());
+    std::int32_t entries = 0;
+    for (;;) {
+      double best = 0;
+      std::int32_t bi = -1;
+      std::int32_t bj = -1;
+      for (std::int32_t i = 0; i < n_; ++i) {
+        for (std::int32_t j = 0; j < n_; ++j) {
+          if (i == j) continue;
+          const std::size_t k = static_cast<std::size_t>(i) * n_ + j;
+          double assignable = std::numeric_limits<double>::infinity();
+          for (std::size_t h = 0; h < kWidth; ++h) {
+            assignable = std::min(assignable, resid[hop(k, h)]);
+          }
+          if (assignable > best) {
+            best = assignable;
+            bi = i;
+            bj = j;
+          }
+        }
+      }
+      if (bi < 0 || best <= 0) break;
+      x.add(bi, bj, best);
+      const std::size_t k = static_cast<std::size_t>(bi) * n_ + bj;
+      for (std::size_t h = 0; h < kWidth; ++h) {
+        if (hop(k, h) < link_loads.size()) resid[hop(k, h)] -= best;
+      }
+      double remaining = 0;
+      for (std::size_t l = 0; l < link_loads.size(); ++l) remaining += resid[l];
+      if (++entries >= opts.max_entries || remaining <= stop) break;
+    }
+    return x;
+  }
+
+ private:
+  std::size_t hop(std::size_t k, std::size_t h) const {
+    return static_cast<std::size_t>(table_[k * kWidth + h]);
+  }
+
+  std::int32_t n_;
+  std::int32_t sentinel_;
+  std::vector<std::int32_t> table_;
+};
+
+void expect_same_bits(const std::vector<double>& got, const std::vector<double>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]), std::bit_cast<std::uint64_t>(want[k]))
+        << what << " [" << k << "]: " << got[k] << " vs " << want[k];
+  }
+}
+
+// Small integers make exact cancellations, and so signed zeros, common.
+double signed_small(Rng& rng) {
+  const double v = static_cast<double>(rng.uniform_int(-3, 3));
+  return v == 0 && rng.bernoulli(0.5) ? -0.0 : v;
+}
+
+TEST(RoutingMatrix, FactoredKernelsMatchPaddedTable) {
+  struct Shape {
+    std::int32_t racks, racks_per_vlan, aggs;
+    bool redundant;
+  };
+  const Shape shapes[] = {{25, 5, 2, false}, {75, 5, 6, false}, {6, 2, 1, false},
+                          {7, 2, 3, false},  {8, 2, 2, true}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Shape& sh : shapes) {
+    TopologyConfig cfg = topo_config(sh.racks);
+    cfg.racks_per_vlan = sh.racks_per_vlan;
+    cfg.agg_switches = sh.aggs;
+    cfg.redundant_tor_uplinks = sh.redundant;
+    const Topology topo(cfg);
+    const RoutingMatrix routing(topo);
+    const PaddedTable ref(topo, routing);
+    const std::int32_t n = routing.tor_count();
+    const auto links = static_cast<std::size_t>(routing.link_count());
+    const auto odn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+    for (std::uint64_t trial = 0; trial < 6; ++trial) {
+      const std::string what = std::to_string(sh.racks) + "/" + std::to_string(sh.aggs) +
+                               (sh.redundant ? "r" : "") + " trial " +
+                               std::to_string(trial);
+      Rng rng(100 + trial);
+      const bool with_nan = trial % 2 == 1;
+
+      // A x over +-0, negative, diagonal and (odd trials) NaN entries.
+      DenseTorTm tm(n);
+      for (std::int32_t i = 0; i < n; ++i) {
+        for (std::int32_t j = 0; j < n; ++j) {
+          tm.set(i, j, rng.bernoulli(0.5) ? signed_small(rng) : rng.uniform(0.0, 50.0));
+        }
+      }
+      if (with_nan) tm.set(n - 1, 0, nan);
+      expect_same_bits(routing.link_loads(tm), ref.link_loads(tm), "A x " + what);
+
+      // A^T u and A W A^T u over +-0 and NaN inputs, zero and negative
+      // weights, with and without a mask.
+      std::vector<double> u(links);
+      for (double& v : u) v = rng.bernoulli(0.7) ? signed_small(rng) : rng.uniform(-5.0, 5.0);
+      if (with_nan) u[static_cast<std::size_t>(rng.uniform_int(0, std::int64_t(links) - 1))] = nan;
+      expect_same_bits(routing.adjoint(u), ref.adjoint(u), "A^T u " + what);
+      std::vector<double> w(odn);
+      for (double& v : w) {
+        v = rng.bernoulli(0.3) ? 0.0 : rng.bernoulli(0.2) ? -1.0 : rng.uniform(0.1, 4.0);
+      }
+      std::vector<std::uint8_t> mask(links);
+      for (auto& m : mask) m = rng.bernoulli(0.8) ? 1 : 0;
+      for (const bool masked : {false, true}) {
+        const std::vector<std::uint8_t> m = masked ? mask : std::vector<std::uint8_t>{};
+        std::vector<double> v(links, 7.0);  // stale contents are overwritten
+        routing.normal_matvec(w, u, v, m);
+        expect_same_bits(v, ref.normal_matvec(w, u, m),
+                         std::string(masked ? "masked " : "") + "A W A^T u " + what);
+      }
+
+      // sparsity_max's argmax: integer loads make ties common; NaN loads
+      // exercise std::min's operand order.
+      std::vector<double> loads(links);
+      for (double& v : loads) v = static_cast<double>(rng.uniform_int(0, 4)) * 10.0;
+      if (with_nan) {
+        loads[static_cast<std::size_t>(routing.tor_up(0))] = nan;
+        loads[static_cast<std::size_t>(routing.tor_down(n - 1))] = nan;
+      }
+      SparsityOptions opts;
+      opts.max_entries = 40;
+      expect_same_bits(sparsity_max(routing, loads, opts).raw(),
+                       ref.sparsity_max(loads, opts).raw(), "sparsity_max " + what);
+    }
+  }
+}
+
+TEST(RoutingMatrix, OneRackTopologyEstimatesZero) {
+  // A single ToR has no OD pair: every estimator returns the all-zero 1x1
+  // matrix, as the zero-load paths do, whatever the loads say.
+  TopologyConfig cfg = topo_config(1);
+  cfg.agg_switches = 1;
+  const Topology topo(cfg);
+  const RoutingMatrix routing(topo);
+  ASSERT_EQ(routing.tor_count(), 1);
+  std::vector<double> loads(static_cast<std::size_t>(routing.link_count()), 5.0);
+  const LinkLoadMask mask(loads.size(), 1);
+  const std::vector<std::vector<double>> activity = {{3.0}};
+  for (const DenseTorTm& est :
+       {gravity_prior(routing, loads), tomogravity(routing, loads),
+        tomogravity_masked(routing, loads, mask), job_augmented_prior(routing, loads, activity),
+        sparsity_max(routing, loads)}) {
+    ASSERT_EQ(est.size(), 1);
+    EXPECT_EQ(est.total(), 0.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(est.at(0, 0)), 0u);
   }
 }
 
