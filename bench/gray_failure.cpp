@@ -11,13 +11,12 @@
 // pooled job-completion-time tail and the read-failure rate.
 //
 // Exit status is the verdict: 0 iff mitigations strictly improve BOTH the
-// p99 JCT and the fatal read-failure rate, so CI can assert the subsystem
+// p99 JCT and the read-failure rate, so CI can assert the subsystem
 // keeps earning its keep.
-#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iostream>
-#include <map>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -26,14 +25,6 @@
 namespace {
 
 struct Arm {
-  // Completed-job durations keyed by (seed index, job id).  The two arms
-  // share the arrival process (the mitigation RNG is a separate stream), so
-  // the same key is the same job; comparing only jobs that completed in
-  // BOTH arms removes the survivorship bias of the raw pools (mitigations
-  // rescue slow jobs that the control arm kills, which would otherwise make
-  // the mitigated tail look worse).
-  std::map<std::pair<int, std::int64_t>, double> jct;
-  std::int64_t jobs_submitted = 0;
   std::int64_t jobs_completed = 0;
   std::int64_t jobs_failed = 0;
   std::int64_t read_failures = 0;
@@ -46,9 +37,8 @@ struct Arm {
   std::int64_t hedge_wins = 0;
 };
 
-void accumulate(Arm& arm, int seed_index, const dct::ClusterExperiment& exp) {
+void accumulate(Arm& arm, const dct::ClusterExperiment& exp) {
   const auto& st = exp.workload_stats();
-  arm.jobs_submitted += st.jobs_submitted;
   arm.jobs_completed += st.jobs_completed;
   arm.jobs_failed += st.jobs_failed;
   arm.read_failures += st.read_failures;
@@ -63,26 +53,6 @@ void accumulate(Arm& arm, int seed_index, const dct::ClusterExperiment& exp) {
   for (const auto& rf : exp.trace().read_failures()) {
     if (rf.fatal) ++arm.fatal_read_failures;
   }
-  for (const auto& j : exp.trace().jobs()) {
-    if (j.completed) arm.jct[{seed_index, j.job.value()}] = j.end - j.start;
-  }
-}
-
-/// Durations of the jobs that completed in both arms, in matching order.
-std::pair<std::vector<double>, std::vector<double>> matched_jct(const Arm& on,
-                                                                const Arm& off) {
-  std::pair<std::vector<double>, std::vector<double>> out;
-  for (const auto& [key, d_on] : on.jct) {
-    const auto it = off.jct.find(key);
-    if (it == off.jct.end()) continue;
-    out.first.push_back(d_on);
-    out.second.push_back(it->second);
-  }
-  return out;
-}
-
-double rate(std::int64_t num, std::int64_t den) {
-  return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
 }
 
 }  // namespace
@@ -94,68 +64,52 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Gray failures: degraded-mode mitigations on vs off ===\n\n";
 
-  Arm on, off;
-  std::uint64_t first_hash_on = 0, first_hash_off = 0;
-  for (int i = 0; i < kSeeds; ++i) {
-    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
-    {
-      auto exp = dct::ClusterExperiment(dct::scenarios::gray_failure(duration, seed));
-      dct::bench::run_scenario(exp);
-      if (i == 0) {
-        dct::bench::write_manifest(exp, "gray_failure_on");
-        first_hash_on = exp.schedule_hash();
-      }
-      accumulate(on, i, exp);
-    }
-    {
-      dct::ScenarioConfig cfg = dct::scenarios::gray_failure(duration, seed);
-      cfg.name = "gray_failure_control";
-      cfg.workload.speculative_execution = false;
-      cfg.workload.hedged_reads = false;
-      auto exp = dct::ClusterExperiment(cfg);
-      dct::bench::run_scenario(exp);
-      if (i == 0) {
-        dct::bench::write_manifest(exp, "gray_failure_off");
-        first_hash_off = exp.schedule_hash();
-      }
-      accumulate(off, i, exp);
-    }
-  }
-  if (first_hash_on != first_hash_off) {
-    std::cout << "FAIL: the two arms ran different degradation schedules\n";
-    return 1;
-  }
+  dct::bench::Verdict verdict;
+  std::array<Arm, 2> arms;  // mitigations on, off
+  const auto jobs = dct::bench::run_paired_seeds(
+      verdict, "degradation", base_seed, kSeeds, {"gray_failure_on", "gray_failure_off"},
+      [&](int arm, std::uint64_t seed) {
+        dct::ScenarioConfig cfg = dct::scenarios::gray_failure(duration, seed);
+        if (arm == 1) {
+          cfg.name = "gray_failure_control";
+          cfg.workload.speculative_execution = false;
+          cfg.workload.hedged_reads = false;
+        }
+        return cfg;
+      },
+      [&](int arm, int, const dct::ClusterExperiment& exp) {
+        accumulate(arms[arm], exp);
+      });
+  if (!jobs) return verdict.exit_code();
+  const Arm& on = arms[0];
+  const Arm& off = arms[1];
 
-  const auto [jct_on, jct_off] = matched_jct(on, off);
+  const auto [jct_on, jct_off] = jobs->matched();
   const double p50_on = dct::median(jct_on);
   const double p50_off = dct::median(jct_off);
   const double p99_on = dct::quantile(jct_on, 0.99);
   const double p99_off = dct::quantile(jct_off, 0.99);
-  const double fail_on = rate(on.read_failures, on.remote_reads);
-  const double fail_off = rate(off.read_failures, off.remote_reads);
-  const double fatal_on = rate(on.fatal_read_failures, on.remote_reads);
-  const double fatal_off = rate(off.fatal_read_failures, off.remote_reads);
+  const double fail_on = dct::bench::ratio(on.read_failures, on.remote_reads);
+  const double fail_off = dct::bench::ratio(off.read_failures, off.remote_reads);
+  const double fatal_on = dct::bench::ratio(on.fatal_read_failures, on.remote_reads);
+  const double fatal_off = dct::bench::ratio(off.fatal_read_failures, off.remote_reads);
 
   dct::TextTable t("job completion & read failures, pooled over " +
                    std::to_string(kSeeds) + " seeds (identical schedules)");
   t.header({"quantity", "mitigations off", "mitigations on", "change"});
-  const auto change = [](double before, double after) {
-    return before > 0 ? dct::TextTable::pct((after - before) / before)
-                      : std::string{};
-  };
   t.row({"jobs completed",
          dct::TextTable::num(static_cast<double>(off.jobs_completed)),
          dct::TextTable::num(static_cast<double>(on.jobs_completed)),
-         change(static_cast<double>(off.jobs_completed),
-                static_cast<double>(on.jobs_completed))});
+         dct::bench::pct_change(static_cast<double>(off.jobs_completed),
+                                static_cast<double>(on.jobs_completed))});
   t.row({"jobs killed", dct::TextTable::num(static_cast<double>(off.jobs_failed)),
          dct::TextTable::num(static_cast<double>(on.jobs_failed)), ""});
   t.row({"jobs matched (both arms)",
          dct::TextTable::num(static_cast<double>(jct_on.size())), "", ""});
   t.row({"p50 JCT, matched (s)", dct::TextTable::num(p50_off),
-         dct::TextTable::num(p50_on), change(p50_off, p50_on)});
+         dct::TextTable::num(p50_on), dct::bench::pct_change(p50_off, p50_on)});
   t.row({"p99 JCT, matched (s)", dct::TextTable::num(p99_off),
-         dct::TextTable::num(p99_on), change(p99_off, p99_on)});
+         dct::TextTable::num(p99_on), dct::bench::pct_change(p99_off, p99_on)});
   t.row({"read failures", dct::TextTable::num(static_cast<double>(off.read_failures)),
          dct::TextTable::num(static_cast<double>(on.read_failures)), ""});
   t.row({"read-failure rate", dct::TextTable::pct(fail_off, 3),
@@ -185,11 +139,11 @@ int main(int argc, char** argv) {
   const bool jct_better = p99_on < p99_off;
   const bool fail_better =
       fail_on < fail_off || (fail_off == 0.0 && on.read_failures == 0);
-  std::cout << (jct_better ? "PASS" : "FAIL") << ": p99 JCT "
-            << (jct_better ? "improved" : "did not improve") << " ("
-            << p99_off << " s -> " << p99_on << " s)\n";
-  std::cout << (fail_better ? "PASS" : "FAIL") << ": read-failure rate "
-            << (fail_better ? "improved" : "did not improve") << " (" << fail_off
-            << " -> " << fail_on << ")\n";
-  return (jct_better && fail_better) ? 0 : 1;
+  const std::string jct_span = dct::bench::cat(" (", p99_off, " s -> ", p99_on, " s)");
+  verdict.check(jct_better, "p99 JCT improved" + jct_span,
+                "p99 JCT did not improve" + jct_span);
+  const std::string fail_span = dct::bench::cat(" (", fail_off, " -> ", fail_on, ")");
+  verdict.check(fail_better, "read-failure rate improved" + fail_span,
+                "read-failure rate did not improve" + fail_span);
+  return verdict.exit_code();
 }

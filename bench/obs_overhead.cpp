@@ -12,12 +12,9 @@
 // the dormant floor measured here is an upper bound on that build's cost.
 //
 // Pass/fail line: live instrumentation must cost < 5% wall clock.
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "common/table.h"
@@ -44,11 +41,9 @@ double run_once(double duration, std::uint64_t seed, bool bind) {
 /// ns per operation over `iters` calls of `fn`.
 template <typename Fn>
 double ns_per_op(std::int64_t iters, Fn&& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::int64_t i = 0; i < iters; ++i) fn(i);
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-         static_cast<double>(iters);
+  return dct::bench::seconds_of([&] {
+           for (std::int64_t i = 0; i < iters; ++i) fn(i);
+         }) * 1e9 / static_cast<double>(iters);
 }
 
 }  // namespace
@@ -100,33 +95,22 @@ int main(int argc, char** argv) {
   }
 
   // --- Whole-run overhead ---------------------------------------------------
-  // Alternate bound/dormant and keep the per-mode minimum: the minimum is
-  // the least noisy location statistic for wall-clock on a shared machine.
-  std::vector<double> bound, dormant;
-  for (int r = 0; r < kReps; ++r) {
-    dormant.push_back(run_once(duration, seed, /*bind=*/false));
-    bound.push_back(run_once(duration, seed, /*bind=*/true));
-  }
-  const double best_dormant = *std::min_element(dormant.begin(), dormant.end());
-  const double best_bound = *std::min_element(bound.begin(), bound.end());
-  const double overhead =
-      best_dormant > 0 ? (best_bound - best_dormant) / best_dormant : 0.0;
-
-  dct::TextTable t("canonical scenario, " + dct::TextTable::num(duration) +
-                   " simulated s, best of " + std::to_string(kReps));
-  t.header({"mode", "wall seconds"});
-  t.row({"instrumentation dormant", dct::TextTable::num(best_dormant)});
-  t.row({"instrumentation live", dct::TextTable::num(best_bound)});
-  t.row({"overhead", dct::TextTable::pct(overhead)});
-  t.print(std::cout);
+  // Interleaved dormant/bound reps, min per arm (dct::bench::time_interleaved).
+  const auto times = dct::bench::time_interleaved(
+      "canonical scenario, " + dct::TextTable::num(duration) + " simulated s", kReps,
+      {"instrumentation dormant",
+       [&] { return run_once(duration, seed, /*bind=*/false); }},
+      {"instrumentation live", [&] { return run_once(duration, seed, /*bind=*/true); }});
+  const double overhead = times.overhead();
   std::cout << '\n';
 
-  dct::bench::paper_note(
-      std::cout, "always-on instrumentation overhead",
-      "small enough to leave on continuously",
-      dct::TextTable::pct(overhead) + (overhead < 0.05 ? " (PASS: < 5%)"
-                                                       : " (FAIL: >= 5%)"));
+  dct::bench::paper_note(std::cout, "always-on instrumentation overhead",
+                         "small enough to leave on continuously",
+                         dct::TextTable::pct(overhead));
   std::cout << "\nnote: a -DDCT_OBS=OFF build compiles every hook site to "
-               "nothing;\nits cost is bounded above by the dormant row.\n";
-  return overhead < 0.05 ? 0 : 1;
+               "nothing;\nits cost is bounded above by the dormant row.\n\n";
+  dct::bench::Verdict verdict;
+  verdict.check(overhead < 0.05, "overhead " + dct::TextTable::pct(overhead) + " < 5%",
+                "overhead " + dct::TextTable::pct(overhead) + " >= 5%");
+  return verdict.exit_code();
 }

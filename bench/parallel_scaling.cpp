@@ -13,109 +13,21 @@
 //      (oversubscribed threads cannot demonstrate scaling).
 //
 // Exit code 0 iff every enforced claim holds.
-#include <algorithm>
-#include <bit>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "analysis/congestion.h"
 #include "analysis/flowstats.h"
 #include "analysis/traffic_matrix.h"
 #include "bench_util.h"
 #include "parallel/thread_pool.h"
+#include "testing/identical.h"
 #include "trace/codec.h"
 
-namespace {
-
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-  std::cout << (ok ? "  [ok]   " : "  [FAIL] ") << what << '\n';
-  if (!ok) ++g_failures;
-}
-
-double seconds_of_best_of_3(const std::function<void()>& fn) {
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const double s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    best = std::min(best, s);
-  }
-  return best;
-}
-
-bool bits_equal(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-bool series_identical(const dct::BinnedSeries& a, const dct::BinnedSeries& b) {
-  if (a.bin_count() != b.bin_count()) return false;
-  for (std::size_t i = 0; i < a.bin_count(); ++i) {
-    if (!bits_equal(a.value(i), b.value(i))) return false;
-  }
-  return true;
-}
-
-bool tm_series_identical(const std::vector<dct::SparseTm>& a,
-                         const std::vector<dct::SparseTm>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!dct::SparseTm::identical(a[i], b[i])) return false;
-  }
-  return true;
-}
-
-bool cdf_identical(const dct::Cdf& a, const dct::Cdf& b) {
-  if (a.sample_count() != b.sample_count()) return false;
-  if (a.empty()) return true;
-  for (int i = 0; i <= 20; ++i) {
-    const double p = static_cast<double>(i) / 20.0;
-    if (!bits_equal(a.quantile(p), b.quantile(p))) return false;
-  }
-  return true;
-}
-
-bool reports_identical(const dct::CongestionReport& a, const dct::CongestionReport& b) {
-  if (a.inter_switch.size() != b.inter_switch.size()) return false;
-  for (std::size_t i = 0; i < a.inter_switch.size(); ++i) {
-    const auto& la = a.inter_switch[i];
-    const auto& lb = b.inter_switch[i];
-    if (la.link != lb.link || la.episodes.size() != lb.episodes.size()) return false;
-    for (std::size_t e = 0; e < la.episodes.size(); ++e) {
-      if (!bits_equal(la.episodes[e].start, lb.episodes[e].start) ||
-          !bits_equal(la.episodes[e].end, lb.episodes[e].end) ||
-          !bits_equal(la.episodes[e].peak, lb.episodes[e].peak)) {
-        return false;
-      }
-    }
-  }
-  if (a.episodes_over_1s != b.episodes_over_1s ||
-      a.episodes_over_10s != b.episodes_over_10s ||
-      !bits_equal(a.longest_episode, b.longest_episode) ||
-      a.episode_durations.size() != b.episode_durations.size()) {
-    return false;
-  }
-  return series_identical(a.hot_links_over_time, b.hot_links_over_time);
-}
-
-bool util_identical(const dct::LinkUtilizationMap& a, const dct::LinkUtilizationMap& b) {
-  if (a.per_link.size() != b.per_link.size()) return false;
-  for (std::size_t l = 0; l < a.per_link.size(); ++l) {
-    if (!series_identical(a.per_link[l], b.per_link[l])) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace dct::testing;
   const double duration = dct::bench::duration_arg(argc, argv, 600.0);
   const auto seed = dct::bench::seed_arg(argc, argv);
   const std::int32_t threads = dct::bench::threads_arg(argc, argv, 8);
@@ -131,24 +43,22 @@ int main(int argc, char** argv) {
   const auto& topo = exp.topology();
   dct::ThreadPool* pool8 = exp.analysis_pool();
   dct::ThreadPool pool2(2);
+  dct::bench::Verdict verdict;
 
   // --- Claim 1: byte-identical results at 1 / 2 / N threads ---------------
   std::cout << "\ndeterminism (byte-identity vs serial):\n";
 
   const auto encoded = dct::encode_trace(trace);
-  {
-    const auto serial = dct::decode_trace(encoded);
-    dct::DecodeOptions opt2;
-    opt2.pool = &pool2;
-    dct::DecodeOptions optN;
-    optN.pool = pool8;
-    const auto par2 = dct::decode_trace(encoded, opt2);
-    const auto parN = dct::decode_trace(encoded, optN);
-    check(dct::encode_trace(par2) == dct::encode_trace(serial) &&
-              dct::encode_trace(parN) == dct::encode_trace(serial),
-          "trace decode re-encodes identically at 2 and " +
-              std::to_string(threads) + " threads");
-  }
+  const auto reencode = [&](dct::ThreadPool* pool) {
+    dct::DecodeOptions opt;
+    opt.pool = pool;
+    return dct::encode_trace(dct::decode_trace(encoded, opt));
+  };
+  const auto reencoded_serial = reencode(nullptr);
+  verdict.check(
+      reencode(&pool2) == reencoded_serial && reencode(pool8) == reencoded_serial,
+      "trace decode re-encodes identically at 2 and " + std::to_string(threads) +
+          " threads");
 
   const auto tms_serial =
       dct::build_tm_series(trace, topo, 10.0, dct::TmScope::kServer, nullptr);
@@ -156,21 +66,22 @@ int main(int argc, char** argv) {
       dct::build_tm_series(trace, topo, 10.0, dct::TmScope::kServer, &pool2);
   const auto tms_n =
       dct::build_tm_series(trace, topo, 10.0, dct::TmScope::kServer, pool8);
-  check(tm_series_identical(tms_serial, tms_2) && tm_series_identical(tms_serial, tms_n),
-        "TM series identical at 2 and " + std::to_string(threads) + " threads");
+  verdict.check(
+      tm_series_identical(tms_serial, tms_2) && tm_series_identical(tms_serial, tms_n),
+      "TM series identical at 2 and " + std::to_string(threads) + " threads");
 
   const auto tm_serial =
       dct::build_tm(trace, topo, duration / 2, 10.0, dct::TmScope::kServer, nullptr);
   const auto tm_n =
       dct::build_tm(trace, topo, duration / 2, 10.0, dct::TmScope::kServer, pool8);
-  check(dct::SparseTm::identical(tm_serial, tm_n), "single-window TM identical");
+  verdict.check(dct::SparseTm::identical(tm_serial, tm_n), "single-window TM identical");
 
   const auto util_serial = dct::utilization_from_trace(trace, topo, 1.0, nullptr);
   const auto util_n = dct::utilization_from_trace(trace, topo, 1.0, pool8);
-  check(util_identical(util_serial, util_n), "link utilization identical");
+  verdict.check(utilization_identical(util_serial, util_n), "link utilization identical");
   const auto rep_serial = dct::congestion_report(util_serial, topo, 0.7, nullptr);
   const auto rep_n = dct::congestion_report(util_n, topo, 0.7, pool8);
-  check(reports_identical(rep_serial, rep_n), "congestion report identical");
+  verdict.check(congestion_identical(rep_serial, rep_n), "congestion report identical");
 
   const auto dur_serial = dct::flow_duration_stats(trace, nullptr);
   const auto dur_n = dct::flow_duration_stats(trace, pool8);
@@ -180,52 +91,40 @@ int main(int argc, char** argv) {
       dct::inter_arrival_stats(trace, topo, dct::ArrivalScope::kServer, nullptr);
   const auto ia_n =
       dct::inter_arrival_stats(trace, topo, dct::ArrivalScope::kServer, pool8);
-  check(cdf_identical(dur_serial.by_count, dur_n.by_count) &&
-            cdf_identical(dur_serial.by_bytes, dur_n.by_bytes) &&
-            cdf_identical(size_serial.bytes, size_n.bytes) &&
-            cdf_identical(ia_serial.inter_arrival_ms, ia_n.inter_arrival_ms),
-        "flow statistics identical");
+  verdict.check(cdf_identical(dur_serial.by_count, dur_n.by_count) &&
+                    cdf_identical(dur_serial.by_bytes, dur_n.by_bytes) &&
+                    cdf_identical(size_serial.bytes, size_n.bytes) &&
+                    cdf_identical(ia_serial.inter_arrival_ms, ia_n.inter_arrival_ms),
+                "flow statistics identical");
 
   // --- Claim 2: >= 2.5x speedup at 8 threads on the TM build --------------
   std::cout << "\nscaling (Fig. 2 workload: server-scoped TM series, 10 s windows):\n";
-  const double t_serial = seconds_of_best_of_3([&] {
-    const auto tms = dct::build_tm_series(trace, topo, 10.0, dct::TmScope::kServer);
-    (void)tms;
-  });
-  const double t_par = seconds_of_best_of_3([&] {
-    const auto tms =
-        dct::build_tm_series(trace, topo, 10.0, dct::TmScope::kServer, pool8);
-    (void)tms;
-  });
-  const double speedup = t_par > 0 ? t_serial / t_par : 0.0;
+  const auto build_tms = [&](dct::ThreadPool* pool) {
+    return dct::bench::seconds_of([&] {
+      const auto tms =
+          dct::build_tm_series(trace, topo, 10.0, dct::TmScope::kServer, pool);
+      (void)tms;
+    });
+  };
+  const auto times = dct::bench::time_interleaved(
+      "TM series build", 3, {"serial", [&] { return build_tms(nullptr); }},
+      {std::to_string(threads) + " threads", [&] { return build_tms(pool8); }});
+  const double speedup = times.min_on() > 0 ? times.min_off() / times.min_on() : 0.0;
   const unsigned hw = std::thread::hardware_concurrency();
-  std::cout << "  serial:   " << t_serial * 1e3 << " ms (best of 3)\n"
-            << "  " << threads << " threads: " << t_par * 1e3 << " ms (best of 3)\n"
-            << "  speedup:  " << speedup << "x on " << hw << " hardware threads\n";
-  bool gate_skipped = false;
+  std::cout << "speedup (min): " << speedup << "x on " << hw << " hardware threads\n";
   if (hw >= 8 && threads >= 8) {
-    check(speedup >= 2.5, "speedup >= 2.5x at 8 threads");
+    verdict.check(speedup >= 2.5, "speedup >= 2.5x at 8 threads");
   } else {
-    std::cout << "  [SKIPPED] speedup gate needs >= 8 hardware threads (host has "
-              << hw << "); determinism checks above still enforced\n";
-    gate_skipped = true;
+    // The determinism checks above stay enforced; exit 77 reports the run
+    // as skipped (CTest SKIP_RETURN_CODE) rather than passed.
+    verdict.skip("speedup gate needs >= 8 hardware threads (host has " +
+                 std::to_string(hw) + ")");
   }
 
+  std::cout << '\n';
   dct::bench::paper_note(
       std::cout, "analysis wall time",
       "hours of ETW logs distilled on a dedicated cluster",
       "shard-parallel with bit-deterministic merges (docs/PERFORMANCE.md)");
-
-  if (g_failures > 0) {
-    std::cout << "\nFAILED: " << g_failures << " check(s)\n";
-    return 1;
-  }
-  if (gate_skipped) {
-    // CTest SKIP_RETURN_CODE: the determinism checks passed but the speedup
-    // gate could not run on this host, so report SKIPPED, not PASSED.
-    std::cout << "\nall enforced checks passed (speedup gate skipped)\n";
-    return 77;
-  }
-  std::cout << "\nall enforced checks passed\n";
-  return 0;
+  return verdict.exit_code();
 }

@@ -18,10 +18,11 @@
 // burst-window p99 JCT and the time-to-full-redundancy, so CI can assert
 // the subsystem keeps earning its keep.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iostream>
-#include <map>
-#include <utility>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -54,11 +55,7 @@ bool overlaps(const std::vector<Window>& windows, double start, double end) {
 }
 
 struct Arm {
-  // Completed-job durations keyed by (seed index, job id), with a flag for
-  // jobs overlapping a fault window.  The two arms share the arrival
-  // process, so the same key is the same job; comparing only jobs that
-  // completed in BOTH arms removes survivorship bias.
-  std::map<std::pair<int, std::int64_t>, std::pair<double, bool>> jct;
+  std::set<dct::bench::JobKey> in_burst;  ///< completed jobs overlapping a fault window
   std::int64_t jobs_completed = 0;
   std::int64_t jobs_failed = 0;
   std::int64_t blocks_rereplicated = 0;
@@ -68,7 +65,6 @@ struct Arm {
   std::int64_t repairs_retried = 0;
   std::int64_t repairs_abandoned = 0;
   std::int64_t cascade_trips = 0;
-  std::int64_t cascades_suppressed = 0;
   std::size_t queue_peak = 0;
   double all_healed_span = 0;       ///< first loss -> all healed, summed
   double redundancy_debt = 0;       ///< block-seconds under-replicated, summed
@@ -87,8 +83,6 @@ void accumulate(Arm& arm, int seed_index, const dct::ClusterExperiment& exp) {
   arm.repairs_abandoned += st.repairs_abandoned;
   if (const dct::FaultInjector* inj = exp.fault_injector()) {
     arm.cascade_trips += static_cast<std::int64_t>(inj->cascade_trips());
-    arm.cascades_suppressed +=
-        static_cast<std::int64_t>(inj->cascades_suppressed());
   }
   arm.queue_peak = std::max(arm.queue_peak, exp.workload().repair_queue_peak());
 
@@ -107,25 +101,10 @@ void accumulate(Arm& arm, int seed_index, const dct::ClusterExperiment& exp) {
 
   const std::vector<Window> windows = burst_windows(exp);
   for (const auto& j : exp.trace().jobs()) {
-    if (!j.completed) continue;
-    arm.jct[{seed_index, j.job.value()}] = {j.end - j.start,
-                                            overlaps(windows, j.start, j.end)};
+    if (j.completed && overlaps(windows, j.start, j.end)) {
+      arm.in_burst.insert({seed_index, j.job.value()});
+    }
   }
-}
-
-/// Matched durations of jobs completed in both arms; `burst_only` keeps the
-/// pairs where either arm's run overlapped a fault window.
-std::pair<std::vector<double>, std::vector<double>> matched_jct(
-    const Arm& paced, const Arm& unpaced, bool burst_only) {
-  std::pair<std::vector<double>, std::vector<double>> out;
-  for (const auto& [key, val] : paced.jct) {
-    const auto it = unpaced.jct.find(key);
-    if (it == unpaced.jct.end()) continue;
-    if (burst_only && !val.second && !it->second.second) continue;
-    out.first.push_back(val.first);
-    out.second.push_back(it->second.first);
-  }
-  return out;
 }
 
 }  // namespace
@@ -137,40 +116,32 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Recovery storms: paced repair vs immediate fan-out ===\n\n";
 
-  Arm paced, unpaced;
-  std::uint64_t first_hash_paced = 0, first_hash_unpaced = 0;
-  for (int i = 0; i < kSeeds; ++i) {
-    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
-    {
-      auto exp =
-          dct::ClusterExperiment(dct::scenarios::correlated_burst(duration, seed));
-      dct::bench::run_scenario(exp);
-      if (i == 0) {
-        dct::bench::write_manifest(exp, "recovery_storm_paced");
-        first_hash_paced = exp.schedule_hash();
-      }
-      accumulate(paced, i, exp);
-    }
-    {
-      dct::ScenarioConfig cfg = dct::scenarios::correlated_burst(duration, seed);
-      cfg.name = "correlated_burst_unpaced";
-      cfg.workload.repair.paced = false;
-      auto exp = dct::ClusterExperiment(cfg);
-      dct::bench::run_scenario(exp);
-      if (i == 0) {
-        dct::bench::write_manifest(exp, "recovery_storm_unpaced");
-        first_hash_unpaced = exp.schedule_hash();
-      }
-      accumulate(unpaced, i, exp);
-    }
-  }
-  if (first_hash_paced != first_hash_unpaced) {
-    std::cout << "FAIL: the two arms ran different fault schedules\n";
-    return 1;
-  }
+  dct::bench::Verdict verdict;
+  std::array<Arm, 2> arms;  // paced, unpaced
+  const auto jobs = dct::bench::run_paired_seeds(
+      verdict, "fault", base_seed, kSeeds,
+      {"recovery_storm_paced", "recovery_storm_unpaced"},
+      [&](int arm, std::uint64_t seed) {
+        dct::ScenarioConfig cfg = dct::scenarios::correlated_burst(duration, seed);
+        if (arm == 1) {
+          cfg.name = "correlated_burst_unpaced";
+          cfg.workload.repair.paced = false;
+        }
+        return cfg;
+      },
+      [&](int arm, int seed_index, const dct::ClusterExperiment& exp) {
+        accumulate(arms[arm], seed_index, exp);
+      });
+  if (!jobs) return verdict.exit_code();
+  const Arm& paced = arms[0];
+  const Arm& unpaced = arms[1];
 
-  const auto [burst_paced, burst_unpaced] = matched_jct(paced, unpaced, true);
-  const auto [all_paced, all_unpaced] = matched_jct(paced, unpaced, false);
+  // A pair counts as "in a burst" when either arm's run overlapped a window.
+  const auto [burst_paced, burst_unpaced] =
+      jobs->matched([&](const dct::bench::JobKey& key) {
+        return paced.in_burst.count(key) > 0 || unpaced.in_burst.count(key) > 0;
+      });
+  const std::size_t matched_all = jobs->matched().first.size();
   const double p99_paced = dct::quantile(burst_paced, 0.99);
   const double p99_unpaced = dct::quantile(burst_unpaced, 0.99);
   const double p50_paced = dct::median(burst_paced);
@@ -181,39 +152,30 @@ int main(int argc, char** argv) {
   // healed" span is reported too, but with faults firing right up to the
   // horizon it saturates at the horizon in every arm and discriminates
   // nothing.)
-  const double ttr_paced =
-      paced.loss_episodes > 0
-          ? paced.redundancy_debt / static_cast<double>(paced.loss_episodes)
-          : 0.0;
+  const double ttr_paced = dct::bench::ratio(paced.redundancy_debt, paced.loss_episodes);
   const double ttr_unpaced =
-      unpaced.loss_episodes > 0
-          ? unpaced.redundancy_debt / static_cast<double>(unpaced.loss_episodes)
-          : 0.0;
+      dct::bench::ratio(unpaced.redundancy_debt, unpaced.loss_episodes);
 
   dct::TextTable t("burst impact, pooled over " + std::to_string(kSeeds) +
                    " seeds (identical fault schedules)");
   t.header({"quantity", "unpaced", "paced", "change"});
-  const auto change = [](double before, double after) {
-    return before > 0 ? dct::TextTable::pct((after - before) / before)
-                      : std::string{};
-  };
   t.row({"jobs completed",
          dct::TextTable::num(static_cast<double>(unpaced.jobs_completed)),
          dct::TextTable::num(static_cast<double>(paced.jobs_completed)), ""});
   t.row({"jobs matched (both arms)",
-         dct::TextTable::num(static_cast<double>(all_paced.size())), "", ""});
+         dct::TextTable::num(static_cast<double>(matched_all)), "", ""});
   t.row({"jobs matched in a burst",
          dct::TextTable::num(static_cast<double>(burst_paced.size())), "", ""});
   t.row({"p50 burst JCT (s)", dct::TextTable::num(p50_unpaced),
-         dct::TextTable::num(p50_paced), change(p50_unpaced, p50_paced)});
+         dct::TextTable::num(p50_paced), dct::bench::pct_change(p50_unpaced, p50_paced)});
   t.row({"p99 burst JCT (s)", dct::TextTable::num(p99_unpaced),
-         dct::TextTable::num(p99_paced), change(p99_unpaced, p99_paced)});
+         dct::TextTable::num(p99_paced), dct::bench::pct_change(p99_unpaced, p99_paced)});
   t.row({"time to redundancy per block (s)", dct::TextTable::num(ttr_unpaced),
-         dct::TextTable::num(ttr_paced), change(ttr_unpaced, ttr_paced)});
+         dct::TextTable::num(ttr_paced), dct::bench::pct_change(ttr_unpaced, ttr_paced)});
   t.row({"redundancy debt (block-s)",
          dct::TextTable::num(unpaced.redundancy_debt / kSeeds),
          dct::TextTable::num(paced.redundancy_debt / kSeeds),
-         change(unpaced.redundancy_debt, paced.redundancy_debt)});
+         dct::bench::pct_change(unpaced.redundancy_debt, paced.redundancy_debt)});
   t.row({"first loss -> all healed (s)",
          dct::TextTable::num(unpaced.all_healed_span / kSeeds),
          dct::TextTable::num(paced.all_healed_span / kSeeds), ""});
@@ -245,12 +207,13 @@ int main(int argc, char** argv) {
 
   const bool jct_better = p99_paced < p99_unpaced;
   const bool ttr_better = ttr_paced < ttr_unpaced;
-  std::cout << (jct_better ? "PASS" : "FAIL") << ": p99 burst JCT "
-            << (jct_better ? "improved" : "did not improve") << " ("
-            << p99_unpaced << " s -> " << p99_paced << " s)\n";
-  std::cout << (ttr_better ? "PASS" : "FAIL")
-            << ": per-block time to redundancy "
-            << (ttr_better ? "improved" : "did not improve") << " ("
-            << ttr_unpaced << " s -> " << ttr_paced << " s)\n";
-  return (jct_better && ttr_better) ? 0 : 1;
+  const std::string jct_span =
+      dct::bench::cat(" (", p99_unpaced, " s -> ", p99_paced, " s)");
+  verdict.check(jct_better, "p99 burst JCT improved" + jct_span,
+                "p99 burst JCT did not improve" + jct_span);
+  const std::string ttr_span =
+      dct::bench::cat(" (", ttr_unpaced, " s -> ", ttr_paced, " s)");
+  verdict.check(ttr_better, "per-block time to redundancy improved" + ttr_span,
+                "per-block time to redundancy did not improve" + ttr_span);
+  return verdict.exit_code();
 }

@@ -26,6 +26,8 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "analysis/traffic_matrix.h"
@@ -74,8 +76,8 @@ std::size_t socket_record_count(const dct::ClusterTrace& trace) {
 
 /// The zero-loss contract: empty telemetry config => the observed trace is
 /// the collected trace by reference, encodes at a pre-telemetry codec
-/// version, and hashes to 0.  Returns true when every check holds.
-bool check_zero_loss(double duration, std::uint64_t seed) {
+/// version, and hashes to 0.  Records one PASS, or a FAIL per broken check.
+void check_zero_loss(double duration, std::uint64_t seed, dct::bench::Verdict& verdict) {
   dct::ScenarioConfig cfg = dct::scenarios::lossy_telemetry(duration, seed);
   cfg.name = "lossy_telemetry_zeroloss";
   cfg.telemetry = dct::TelemetryFaultConfig{};  // perfect measurement plane
@@ -83,8 +85,8 @@ bool check_zero_loss(double duration, std::uint64_t seed) {
   dct::bench::run_scenario(exp);
 
   bool ok = true;
-  const auto fail = [&ok](const std::string& what) {
-    std::cout << "FAIL (zero-loss): " << what << '\n';
+  const auto fail = [&](const std::string& what) {
+    verdict.fail("(zero-loss) " + what);
     ok = false;
   };
   if (&exp.observed_trace() != &exp.trace()) {
@@ -101,11 +103,10 @@ bool check_zero_loss(double duration, std::uint64_t seed) {
     fail("manifest telemetry_schedule_hash != 0");
   }
   if (ok) {
-    std::cout << "PASS: zero-loss run is bit-identical to a perfect plane "
-                 "(codec v"
-              << static_cast<int>(encoded[1]) << ", hash 0)\n";
+    verdict.pass(dct::bench::cat(
+        "zero-loss run is bit-identical to a perfect plane (codec v",
+        static_cast<int>(encoded[1]), ", hash 0)"));
   }
-  return ok;
 }
 
 }  // namespace
@@ -116,6 +117,8 @@ int main(int argc, char** argv) {
   constexpr int kSeeds = 3;
 
   std::cout << "=== Telemetry loss: gap-aware vs naive analysis ===\n\n";
+
+  dct::bench::Verdict verdict;
 
   double sq_naive = 0, sq_aware = 0;
   std::size_t n_naive = 0, n_aware = 0;
@@ -136,13 +139,13 @@ int main(int argc, char** argv) {
       std::cerr << "[bench] telemetry schedule hash " << std::hex
                 << exp.telemetry_schedule_hash() << std::dec << "\n";
       if (exp.telemetry_schedule_hash() == 0) {
-        std::cout << "FAIL: lossy run produced an empty telemetry schedule\n";
-        return 1;
+        verdict.fail("lossy run produced an empty telemetry schedule");
+        return verdict.exit_code();
       }
       const auto manifest = exp.manifest("telemetry_loss");
       if (manifest.config.at("telemetry_schedule_hash") == 0.0) {
-        std::cout << "FAIL: manifest lacks a non-zero telemetry_schedule_hash\n";
-        return 1;
+        verdict.fail("manifest lacks a non-zero telemetry_schedule_hash");
+        return verdict.exit_code();
       }
     }
 
@@ -188,20 +191,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double loss_frac = records_full > 0
-                               ? static_cast<double>(records_lost) /
-                                     static_cast<double>(records_full)
-                               : 0.0;
-  const double rmsre_naive =
-      n_naive > 0 ? std::sqrt(sq_naive / static_cast<double>(n_naive)) : 0.0;
-  const double rmsre_aware =
-      n_aware > 0 ? std::sqrt(sq_aware / static_cast<double>(n_aware)) : 0.0;
+  const double loss_frac = dct::bench::ratio(records_lost, records_full);
+  const double rmsre_naive = std::sqrt(dct::bench::ratio(sq_naive, n_naive));
+  const double rmsre_aware = std::sqrt(dct::bench::ratio(sq_aware, n_aware));
   const double tomo_naive_med = dct::median(tomo_naive_errs);
   const double tomo_masked_med = dct::median(tomo_masked_errs);
   const auto mean = [](const std::vector<double>& v) {
-    double s = 0;
-    for (double x : v) s += x;
-    return v.empty() ? 0.0 : s / static_cast<double>(v.size());
+    return dct::bench::ratio(std::accumulate(v.begin(), v.end(), 0.0), v.size());
   };
   const double tomo_naive_mean = mean(tomo_naive_errs);
   const double tomo_masked_mean = mean(tomo_masked_errs);
@@ -230,25 +226,16 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::cout << '\n';
 
-  bool ok = true;
-  if (loss_frac >= 0.10) {
-    std::cout << "PASS: lossy arm lost " << dct::TextTable::pct(loss_frac)
-              << " of socket records (>= 10% target regime)\n";
-  } else {
-    std::cout << "FAIL: only " << dct::TextTable::pct(loss_frac)
-              << " of records lost; below the 10% regime the bench certifies\n";
-    ok = false;
-  }
-  if (rmsre_aware < rmsre_naive) {
-    std::cout << "PASS: gap-aware TM strictly beats naive ("
-              << dct::TextTable::pct(rmsre_naive) << " -> "
-              << dct::TextTable::pct(rmsre_aware) << " RMSRE)\n";
-  } else {
-    std::cout << "FAIL: gap-aware TM did not beat naive ("
-              << dct::TextTable::pct(rmsre_naive) << " vs "
-              << dct::TextTable::pct(rmsre_aware) << ")\n";
-    ok = false;
-  }
+  verdict.check(loss_frac >= 0.10,
+                "lossy arm lost " + dct::TextTable::pct(loss_frac) +
+                    " of socket records (>= 10% target regime)",
+                "only " + dct::TextTable::pct(loss_frac) +
+                    " of records lost; below the 10% regime the bench certifies");
+  verdict.check(rmsre_aware < rmsre_naive,
+                "gap-aware TM strictly beats naive (" + dct::TextTable::pct(rmsre_naive) +
+                    " -> " + dct::TextTable::pct(rmsre_aware) + " RMSRE)",
+                "gap-aware TM did not beat naive (" + dct::TextTable::pct(rmsre_naive) +
+                    " vs " + dct::TextTable::pct(rmsre_aware) + ")");
   // Masked tomography is informational: a short run may see no reset or
   // timeout inside an evaluated window, in which case the two arms tie by
   // construction.  When faults did land, the raw arm's mean blows up on the
@@ -258,6 +245,6 @@ int main(int argc, char** argv) {
             << dct::TextTable::pct(tomo_naive_mean) << '\n';
 
   std::cout << '\n';
-  if (!check_zero_loss(duration, base_seed)) ok = false;
-  return ok ? 0 : 1;
+  check_zero_loss(duration, base_seed, verdict);
+  return verdict.exit_code();
 }

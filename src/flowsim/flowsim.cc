@@ -7,6 +7,17 @@
 #include "common/require.h"
 
 namespace dct {
+namespace {
+
+/// The record of `spec` as flow `id` over [start, end): nothing sent,
+/// neither failed nor truncated until the caller says otherwise.
+FlowRecord record_of(FlowId id, const FlowSpec& spec, TimeSec start, TimeSec end) {
+  return {.id = id, .src = spec.src, .dst = spec.dst, .bytes_requested = spec.bytes,
+          .start = start, .end = end, .job = spec.job, .phase = spec.phase,
+          .kind = spec.kind};
+}
+
+}  // namespace
 
 std::string_view to_string(FlowKind kind) {
   switch (kind) {
@@ -143,38 +154,13 @@ FlowId FlowSim::start_flow(const FlowSpec& spec, CompletionCallback on_complete)
   f.last_deposit = now_;
   f.on_complete = std::move(on_complete);
 
-  // A severed path (device failure) fails the connection outright, before
-  // the probabilistic congestion model — and without an rng draw, so the
-  // no-fault stream of coin flips is untouched.
-  if (!routed) {
-    FlowRecord rec;
-    rec.id = id;
-    rec.src = spec.src;
-    rec.dst = spec.dst;
-    rec.bytes_requested = spec.bytes;
-    rec.bytes_sent = 0;
-    rec.start = now_;
-    rec.end = now_;
-    rec.failed = true;
-    rec.job = spec.job;
-    rec.phase = spec.phase;
-    rec.kind = spec.kind;
-    ++failed_;
-    ++fault_killed_;
-    DCT_OBS_INC(m_flows_failed_);
-    DCT_OBS_INC(m_fault_kills_);
-    if (config_.keep_records) records_.push_back(rec);
-    if (record_sink_) record_sink_(rec);
-    if (record_tap_) record_tap_(rec);
-    if (f.on_complete && now_ < config_.end_time) f.on_complete(*this, rec);
-    return id;
-  }
-
   // Connection-establishment failure: if the prospective fair share on the
   // bottleneck link is under the floor, the attempt may fail outright
-  // (queues full at the bottleneck; the SYN-timeout analogue).
+  // (queues full at the bottleneck; the SYN-timeout analogue).  A severed
+  // path (device failure) fails before this model, without an rng draw, so
+  // the no-fault stream of coin flips is untouched.
   bool connect_failed = false;
-  if (!f.path.empty() && spec.bytes > 0 && now_ < config_.end_time &&
+  if (routed && !f.path.empty() && spec.bytes > 0 && now_ < config_.end_time &&
       config_.connect_share_floor > 0) {
     double share = std::numeric_limits<double>::infinity();
     for (LinkId l : f.path) {
@@ -189,47 +175,28 @@ FlowId FlowSim::start_flow(const FlowSpec& spec, CompletionCallback on_complete)
       connect_failed = p > 0 && rng_.bernoulli(p);
     }
   }
-  if (connect_failed) {
-    FlowRecord rec;
-    rec.id = id;
-    rec.src = spec.src;
-    rec.dst = spec.dst;
-    rec.bytes_requested = spec.bytes;
-    rec.bytes_sent = 0;
-    rec.start = now_;
-    rec.end = now_;
-    rec.failed = true;
-    rec.job = spec.job;
-    rec.phase = spec.phase;
-    rec.kind = spec.kind;
-    ++failed_;
-    DCT_OBS_INC(m_flows_failed_);
-    DCT_OBS_INC(m_connect_failures_);
-    if (config_.keep_records) records_.push_back(rec);
-    if (record_sink_) record_sink_(rec);
-    if (record_tap_) record_tap_(rec);
-    if (f.on_complete) f.on_complete(*this, rec);
-    return id;
-  }
 
-  // Degenerate flows (zero bytes, loopback, or started while draining the
-  // horizon) finalize immediately without entering the network.
-  if (spec.bytes == 0 || f.path.empty() || now_ >= config_.end_time) {
-    FlowRecord rec;
-    rec.id = id;
-    rec.src = spec.src;
-    rec.dst = spec.dst;
-    rec.bytes_requested = spec.bytes;
-    rec.bytes_sent = (f.path.empty() && now_ < config_.end_time) ? spec.bytes : 0;
-    rec.start = now_;
-    rec.end = now_;
-    rec.truncated = now_ >= config_.end_time && spec.bytes > 0 && !f.path.empty();
-    rec.job = spec.job;
-    rec.phase = spec.phase;
-    rec.kind = spec.kind;
-    if (config_.keep_records) records_.push_back(rec);
-    if (record_sink_) record_sink_(rec);
-    if (record_tap_) record_tap_(rec);
+  // Failed connections, and degenerate flows (zero bytes, loopback, or
+  // started while draining the horizon), finalize immediately without
+  // entering the network.
+  if (!routed || connect_failed || spec.bytes == 0 || f.path.empty() ||
+      now_ >= config_.end_time) {
+    FlowRecord rec = record_of(id, spec, now_, now_);
+    rec.failed = !routed || connect_failed;
+    if (rec.failed) {
+      ++failed_;
+      DCT_OBS_INC(m_flows_failed_);
+    }
+    if (!routed) {
+      ++fault_killed_;
+      DCT_OBS_INC(m_fault_kills_);
+    } else if (connect_failed) {
+      DCT_OBS_INC(m_connect_failures_);
+    } else {
+      rec.bytes_sent = (f.path.empty() && now_ < config_.end_time) ? spec.bytes : 0;
+      rec.truncated = now_ >= config_.end_time && spec.bytes > 0 && !f.path.empty();
+    }
+    emit_record(rec);
     // No completion callback while draining: a callback that immediately
     // starts another flow would otherwise loop forever at the horizon.
     if (f.on_complete && now_ < config_.end_time) f.on_complete(*this, rec);
@@ -421,21 +388,12 @@ void FlowSim::finalize_flow(std::size_t slot, bool failed, bool truncated) {
   ActiveFlow& f = active_[slot];
   deposit(f, now_);
 
-  FlowRecord rec;
-  rec.id = f.id;
-  rec.src = f.spec.src;
-  rec.dst = f.spec.dst;
-  rec.bytes_requested = f.spec.bytes;
+  FlowRecord rec = record_of(f.id, f.spec, f.start, now_);
   const double sent = static_cast<double>(f.spec.bytes) - f.remaining;
   rec.bytes_sent = std::clamp<Bytes>(static_cast<Bytes>(std::llround(sent)), 0, f.spec.bytes);
   if (!failed && !truncated) rec.bytes_sent = f.spec.bytes;
-  rec.start = f.start;
-  rec.end = now_;
   rec.failed = failed;
   rec.truncated = truncated;
-  rec.job = f.spec.job;
-  rec.phase = f.spec.phase;
-  rec.kind = f.spec.kind;
 
   if (failed) {
     ++failed_;
@@ -461,10 +419,14 @@ void FlowSim::finalize_flow(std::size_t slot, bool failed, bool truncated) {
   dirty_ = true;
   if (now_ < config_.end_time) schedule_recompute();
 
+  emit_record(rec);
+  if (cb && !truncated) cb(*this, rec);
+}
+
+void FlowSim::emit_record(const FlowRecord& rec) {
   if (config_.keep_records) records_.push_back(rec);
   if (record_sink_) record_sink_(rec);
   if (record_tap_) record_tap_(rec);
-  if (cb && !truncated) cb(*this, rec);
 }
 
 void FlowSim::run() {

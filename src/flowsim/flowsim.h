@@ -308,6 +308,8 @@ class FlowSim {
   void recompute_rates();
   void deposit(ActiveFlow& f, TimeSec up_to);
   void finalize_flow(std::size_t slot, bool failed, bool truncated);
+  /// Hands a finished flow's record to the record list, sink and tap.
+  void emit_record(const FlowRecord& rec);
   void drain_horizon();
   [[nodiscard]] std::ptrdiff_t slot_of(std::int32_t flow_id) const;
 

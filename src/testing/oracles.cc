@@ -9,6 +9,7 @@
 #include "analysis/traffic_matrix.h"
 #include "packetsim/incast_sim.h"
 #include "parallel/thread_pool.h"
+#include "testing/identical.h"
 #include "trace/codec.h"
 
 namespace dct::testing {
@@ -86,11 +87,7 @@ void parallel_oracle(ClusterExperiment& exp, int threads, InvariantReport& repor
       exp.observed_trace(), exp.topology(), 5.0, TmScope::kServer);
   const auto tms_pooled = build_tm_series_gap_aware(
       exp.observed_trace(), exp.topology(), 5.0, TmScope::kServer, {}, &pool);
-  bool tm_same = tms_serial.size() == tms_pooled.size();
-  for (std::size_t w = 0; tm_same && w < tms_serial.size(); ++w) {
-    tm_same = SparseTm::identical(tms_serial[w], tms_pooled[w]);
-  }
-  if (!tm_same) {
+  if (!tm_series_identical(tms_serial, tms_pooled)) {
     report.fail("oracle.parallel",
                 "pooled gap-aware TM series differs from serial at " +
                     std::to_string(threads) + " threads");

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <string>
 #include <unordered_set>
 
 #include "common/require.h"
@@ -380,6 +381,14 @@ DenseTorTm sparsity_max(const RoutingMatrix& routing, const std::vector<double>&
                         const SparsityOptions& opts) {
   require(link_loads.size() == static_cast<std::size_t>(routing.link_count()),
           "sparsity_max: load vector size mismatch");
+  // A NaN on every hop of a path would read as +inf assignable volume (the
+  // min ignores it) and a NaN total would disable the stop test.
+  for (std::int32_t m = 0; m < routing.link_count(); ++m) {
+    if (!std::isfinite(link_loads[static_cast<std::size_t>(m)])) {
+      throw Error("sparsity_max: load on link " +
+                  std::to_string(routing.link_at(m).value()) + " is not finite");
+    }
+  }
   const std::int32_t n = routing.tor_count();
   DenseTorTm x(n);
   std::vector<double> resid = link_loads;

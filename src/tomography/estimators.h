@@ -117,7 +117,8 @@ class SnmpCounters;
 /// OD pairs have been used, or when no OD pair can absorb more volume (the
 /// greedy can strand residual that the exact MILP would place; the
 /// qualitative behaviour — solutions far sparser than the ground truth,
-/// worse estimates than tomogravity — is preserved).
+/// worse estimates than tomogravity — is preserved).  Every load must be
+/// finite (throws dct::Error naming the link otherwise).
 struct SparsityOptions {
   double residual_fraction = 0.01;
   std::int32_t max_entries = 1 << 20;

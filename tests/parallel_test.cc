@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -21,41 +20,17 @@
 #include "core/experiment.h"
 #include "obs/obs.h"
 #include "parallel/thread_pool.h"
+#include "testing/identical.h"
 #include "trace/codec.h"
 
 namespace dct {
 namespace {
 
-bool bits_equal(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-bool series_identical(const BinnedSeries& a, const BinnedSeries& b) {
-  if (a.bin_count() != b.bin_count()) return false;
-  for (std::size_t i = 0; i < a.bin_count(); ++i) {
-    if (!bits_equal(a.value(i), b.value(i))) return false;
-  }
-  return true;
-}
-
-bool tm_series_identical(const std::vector<SparseTm>& a,
-                         const std::vector<SparseTm>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!SparseTm::identical(a[i], b[i])) return false;
-  }
-  return true;
-}
-
-bool cdf_identical(const Cdf& a, const Cdf& b) {
-  if (a.sample_count() != b.sample_count()) return false;
-  if (a.empty()) return true;
-  for (int i = 0; i <= 20; ++i) {
-    const double p = static_cast<double>(i) / 20.0;
-    if (!bits_equal(a.quantile(p), b.quantile(p))) return false;
-  }
-  return true;
-}
+using testing::bits_equal;
+using testing::cdf_identical;
+using testing::congestion_identical;
+using testing::tm_series_identical;
+using testing::utilization_identical;
 
 // ---------------------------------------------------------------------------
 // ThreadPool / shard_ranges mechanics
@@ -195,35 +170,13 @@ TEST_F(ParallelDeterminismTest, CongestionIdentical) {
   const auto util_serial = utilization_from_trace(exp_->trace(), exp_->topology(), 1.0);
   const auto util8 =
       utilization_from_trace(exp_->trace(), exp_->topology(), 1.0, &pool8);
-  ASSERT_EQ(util_serial.per_link.size(), util8.per_link.size());
-  for (std::size_t l = 0; l < util_serial.per_link.size(); ++l) {
-    EXPECT_TRUE(series_identical(util_serial.per_link[l], util8.per_link[l]));
-  }
+  EXPECT_TRUE(utilization_identical(util_serial, util8));
 
   const auto rep_serial = congestion_report(util_serial, exp_->topology(), 0.7);
   const auto rep2 = congestion_report(util_serial, exp_->topology(), 0.7, &pool2);
   const auto rep8 = congestion_report(util_serial, exp_->topology(), 0.7, &pool8);
-  for (const auto* rep : {&rep2, &rep8}) {
-    EXPECT_EQ(rep->episodes_over_1s, rep_serial.episodes_over_1s);
-    EXPECT_EQ(rep->episodes_over_10s, rep_serial.episodes_over_10s);
-    EXPECT_TRUE(bits_equal(rep->longest_episode, rep_serial.longest_episode));
-    EXPECT_TRUE(bits_equal(rep->frac_links_hot_10s, rep_serial.frac_links_hot_10s));
-    ASSERT_EQ(rep->inter_switch.size(), rep_serial.inter_switch.size());
-    for (std::size_t l = 0; l < rep->inter_switch.size(); ++l) {
-      EXPECT_EQ(rep->inter_switch[l].link, rep_serial.inter_switch[l].link);
-      ASSERT_EQ(rep->inter_switch[l].episodes.size(),
-                rep_serial.inter_switch[l].episodes.size());
-      for (std::size_t e = 0; e < rep->inter_switch[l].episodes.size(); ++e) {
-        EXPECT_TRUE(bits_equal(rep->inter_switch[l].episodes[e].start,
-                               rep_serial.inter_switch[l].episodes[e].start));
-        EXPECT_TRUE(bits_equal(rep->inter_switch[l].episodes[e].end,
-                               rep_serial.inter_switch[l].episodes[e].end));
-      }
-    }
-    ASSERT_EQ(rep->episode_durations.size(), rep_serial.episode_durations.size());
-    EXPECT_TRUE(
-        series_identical(rep->hot_links_over_time, rep_serial.hot_links_over_time));
-  }
+  EXPECT_TRUE(congestion_identical(rep2, rep_serial));
+  EXPECT_TRUE(congestion_identical(rep8, rep_serial));
 }
 
 TEST_F(ParallelDeterminismTest, FlowStatsIdentical) {

@@ -248,15 +248,17 @@ TEST(RoutingMatrix, FactoredKernelsMatchPaddedTable) {
       }
 
       // sparsity_max's argmax: integer loads make ties common; NaN loads
-      // exercise std::min's operand order.
+      // are rejected up front.
       std::vector<double> loads(links);
       for (double& v : loads) v = static_cast<double>(rng.uniform_int(0, 4)) * 10.0;
+      SparsityOptions opts;
+      opts.max_entries = 40;
       if (with_nan) {
         loads[static_cast<std::size_t>(routing.tor_up(0))] = nan;
         loads[static_cast<std::size_t>(routing.tor_down(n - 1))] = nan;
+        EXPECT_THROW((void)sparsity_max(routing, loads, opts), Error) << what;
+        continue;
       }
-      SparsityOptions opts;
-      opts.max_entries = 40;
       expect_same_bits(sparsity_max(routing, loads, opts).raw(),
                        ref.sparsity_max(loads, opts).raw(), "sparsity_max " + what);
     }
@@ -431,6 +433,22 @@ TEST(SparsityMax, NeverOvershootsLinkLoads) {
   for (std::size_t l = 0; l < b.size(); ++l) {
     EXPECT_LE(b_est[l], b[l] + 1e-9);
   }
+}
+
+TEST(Sparsity, RejectsNonFiniteLoads) {
+  // A NaN on every hop of an OD pair once made the greedy place +inf until
+  // max_entries rounds had run; any non-finite load is now an error.
+  Topology topo(topo_config(25));
+  RoutingMatrix routing(topo);
+  Rng rng(17);
+  const auto good = routing.link_loads(random_tm(25, rng, 0.5));
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    auto loads = good;
+    loads[static_cast<std::size_t>(routing.tor_up(0))] = bad;
+    loads[static_cast<std::size_t>(routing.tor_down(1))] = bad;
+    EXPECT_THROW((void)sparsity_max(routing, loads), Error) << bad;
+  }
+  EXPECT_NO_THROW((void)sparsity_max(routing, good));
 }
 
 TEST(JobPrior, SharpensTowardCoscheduledRacks) {
